@@ -2,7 +2,8 @@
 
 Exit codes: 0 for Provable / successful analysis, 1 for a definitive
 NotProvable (so shell scripts can assert non-provability), 2 when a search
-limit left the question open, 64 for usage, parse, or goal-rejection errors.
+limit left the question open, 64 for usage, parse, or goal-rejection errors,
+70 when the program itself failed (an internal error, never a verdict).
 All state comes from argv; identical invocations print identical bytes
 (timings are deliberately excluded from the output).
 """
@@ -14,13 +15,12 @@ import json
 import sys
 from typing import Optional
 
-from .formulas import Conn, ShapeError
+from .formulas import Conn
 from .kernel import AT_EXPAND, AT_PRIMITIVE, LogicConfig
 from .search import (
     NOT_PROVABLE,
     PROVABLE,
     UNKNOWN,
-    GoalRejectedError,
     SearchLimits,
     SearchResult,
     decide_idempotence,
@@ -48,6 +48,7 @@ EX_OK = 0
 EX_NOT_PROVABLE = 1
 EX_UNKNOWN = 2
 EX_USAGE = 64
+EX_INTERNAL = 70
 
 CONNECTIVE_TOKENS = tuple(c.value for c in Conn)
 
@@ -374,15 +375,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as err:
+    except (_UsageError, ParseError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EX_USAGE
-    except (ParseError, ShapeError, GoalRejectedError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EX_USAGE
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EX_USAGE
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EX_INTERNAL
 
 
 def main_entry() -> None:

@@ -30,7 +30,7 @@ class Conn(Enum):
 # Fixed total order used by sorting keys and printers.
 _CONN_INDEX = {c: i for i, c in enumerate(Conn)}
 
-_DUAL_CONN = {
+DUAL_CONN = {
     Conn.WITH: Conn.PLUS,
     Conn.PLUS: Conn.WITH,
     Conn.TIMES: Conn.PAR,
@@ -116,7 +116,7 @@ def dual(f: Formula) -> Formula:
         case NegAtom(name):
             return PosAtom(name)
         case Binary(conn, left, right):
-            return Binary(_DUAL_CONN[conn], dual(left), dual(right))
+            return Binary(DUAL_CONN[conn], dual(left), dual(right))
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -7,15 +7,18 @@ The rule set is the two-sided additive/multiplicative fragment plus the
 primitive rules for ``@`` (right formation, left reflection) and their exact
 mirror images for ``$``, with weakening and contraction available as toggles.
 Axioms are literal-only; compound identity is derivable, not axiomatic.
+Each rule is one row of :data:`RULES`; enumeration, checking, dualization
+and rule gating all read those rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .formulas import (
+    DUAL_CONN,
     Binary,
     Conn,
     Formula,
@@ -49,6 +52,9 @@ class Sequent:
     def size(self) -> int:
         return sum(formula_size(f) for f in self.antecedent + self.succedent)
 
+    def side(self, which: str) -> tuple[Formula, ...]:
+        return self.antecedent if which == LEFT else self.succedent
+
     def contains_conn(self, *conns: Conn) -> bool:
         def has(f: Formula) -> bool:
             return isinstance(f, Binary) and (f.conn in conns or has(f.left) or has(f.right))
@@ -66,6 +72,11 @@ def dual_sequent(s: Sequent) -> Sequent:
     return Sequent.of((dual(f) for f in s.succedent), (dual(f) for f in s.antecedent))
 
 
+def _orient(side: str, active: tuple[Formula, ...], passive: tuple[Formula, ...]) -> Sequent:
+    """The sequent with ``active`` on ``side`` and ``passive`` on the other."""
+    return Sequent(active, passive) if side == LEFT else Sequent(passive, active)
+
+
 def _remove_one(side: tuple[Formula, ...], f: Formula) -> tuple[Formula, ...]:
     out = list(side)
     out.remove(f)
@@ -79,9 +90,13 @@ def _union(*sides: tuple[Formula, ...]) -> tuple[Formula, ...]:
     return _canon(merged)
 
 
+def _distinct(side: tuple[Formula, ...]) -> list[Formula]:
+    return list(dict.fromkeys(side))
+
+
 def _submultisets(side: tuple[Formula, ...]) -> Iterator[tuple[tuple[Formula, ...], tuple[Formula, ...]]]:
     """All (part, rest) splits of a multiset, deterministically ordered."""
-    distinct: list[Formula] = list(dict.fromkeys(side))
+    distinct = _distinct(side)
     mults = [side.count(f) for f in distinct]
     for counts in itertools.product(*(range(m + 1) for m in mults)):
         part: list[Formula] = []
@@ -90,6 +105,97 @@ def _submultisets(side: tuple[Formula, ...]) -> Iterator[tuple[tuple[Formula, ..
             part.extend([f] * k)
             rest.extend([f] * (m - k))
         yield tuple(part), tuple(rest)
+
+
+# ---------------------------------------------------------------------------
+# rules
+
+# Rule kinds.  Apart from the axiom, every rule has a principal formula on
+# one side (the active side); the kind says what the premises hold in its
+# place, and the row's connective (None for the structural rules) says which
+# formulas can be principal.
+AXIOM = "axiom"
+WEAKEN = "weaken"
+CONTRACT = "contract"
+PICK_LEFT = "pick-left"
+PICK_RIGHT = "pick-right"
+BOTH = "both-subformulas"
+BRANCH = "branch"
+SPLIT = "split"
+
+LEFT = "left"
+RIGHT = "right"
+_OTHER = {LEFT: RIGHT, RIGHT: LEFT, None: None}
+
+
+class Rule(NamedTuple):
+    name: str
+    kind: str
+    side: Optional[str]  # side of the principal formula
+    conn: Optional[Conn]  # connective of the principal formula
+
+
+# The calculus, one row per rule.  The row order is ALL_RULES.
+RULES = {
+    row.name: row
+    for row in (
+        Rule("axiom", AXIOM, None, None),
+        Rule("&R", BRANCH, RIGHT, Conn.WITH),
+        Rule("&L1", PICK_LEFT, LEFT, Conn.WITH),
+        Rule("&L2", PICK_RIGHT, LEFT, Conn.WITH),
+        Rule("|R1", PICK_LEFT, RIGHT, Conn.PLUS),
+        Rule("|R2", PICK_RIGHT, RIGHT, Conn.PLUS),
+        Rule("|L", BRANCH, LEFT, Conn.PLUS),
+        Rule("*R", SPLIT, RIGHT, Conn.TIMES),
+        Rule("*L", BOTH, LEFT, Conn.TIMES),
+        Rule("parR", BOTH, RIGHT, Conn.PAR),
+        Rule("parL", SPLIT, LEFT, Conn.PAR),
+        Rule("@-form", BOTH, RIGHT, Conn.ENT),
+        Rule("@-explrefl", SPLIT, LEFT, Conn.ENT),
+        Rule("$-form", BOTH, LEFT, Conn.SEC),
+        Rule("$-explrefl", SPLIT, RIGHT, Conn.SEC),
+        Rule("weak-L", WEAKEN, LEFT, None),
+        Rule("weak-R", WEAKEN, RIGHT, None),
+        Rule("contr-L", CONTRACT, LEFT, None),
+        Rule("contr-R", CONTRACT, RIGHT, None),
+    )
+}
+
+ALL_RULES = tuple(RULES)
+
+# Deterministic attempt order: axiom, then structural, then the remaining
+# non-splitting rules, then the context-splitting rules.  Only the axiom /
+# non-splitting / splitting grouping is contractual; the placement of the
+# structural block reproduces the golden derivations exactly.
+_STAGE = {AXIOM: 0, WEAKEN: 1, CONTRACT: 1, SPLIT: 3}
+RULE_ORDER = tuple(sorted(ALL_RULES, key=lambda name: _STAGE.get(RULES[name].kind, 2)))
+
+# The mirror image of a rule: same kind, other side, dual connective.
+_BY_SHAPE = {(r.kind, r.side, r.conn): r.name for r in RULES.values()}
+_DUAL_RULE = {
+    r.name: _BY_SHAPE[r.kind, _OTHER[r.side], DUAL_CONN.get(r.conn)] for r in RULES.values()
+}
+
+# What each premise's active side holds in place of the principal formula f,
+# for every kind but the axiom and the splits; the passive side is unchanged.
+_REPLACEMENTS = {
+    WEAKEN: (lambda f: (),),
+    CONTRACT: (lambda f: (f, f),),
+    PICK_LEFT: (lambda f: (f.left,),),
+    PICK_RIGHT: (lambda f: (f.right,),),
+    BOTH: (lambda f: (f.left, f.right),),
+    BRANCH: (lambda f: (f.left,), lambda f: (f.right,)),
+}
+
+
+def _arity(rule: Rule) -> int:
+    if rule.kind == AXIOM:
+        return 0
+    return 2 if rule.kind == SPLIT else len(_REPLACEMENTS[rule.kind])
+
+
+def _can_be_principal(rule: Rule, f: Formula) -> bool:
+    return rule.conn is None or (isinstance(f, Binary) and f.conn is rule.conn)
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +231,12 @@ class LogicConfig:
         raise ValueError(f"unknown preset: {name!r}")
 
     def rule_enabled(self, rule: str) -> bool:
-        if rule in (R_WEAK_L, R_WEAK_R):
+        row = RULES[rule]
+        if row.kind == WEAKEN:
             return self.weakening
-        if rule in (R_CONTR_L, R_CONTR_R):
+        if row.kind == CONTRACT:
             return self.contraction
-        if rule in (R_ENT_FORM, R_ENT_EXPLREFL, R_SEC_FORM, R_SEC_EXPLREFL):
-            return self.allow_ent
-        return True
+        return self.allow_ent or row.conn not in (Conn.ENT, Conn.SEC)
 
     def describe(self) -> str:
         if self.preset_name:
@@ -143,98 +248,7 @@ class LogicConfig:
 
 
 # ---------------------------------------------------------------------------
-# rules
-
-
-R_AXIOM = "axiom"
-R_WITH_R = "&R"
-R_WITH_L1 = "&L1"
-R_WITH_L2 = "&L2"
-R_PLUS_R1 = "|R1"
-R_PLUS_R2 = "|R2"
-R_PLUS_L = "|L"
-R_TIMES_R = "*R"
-R_TIMES_L = "*L"
-R_PAR_R = "parR"
-R_PAR_L = "parL"
-R_ENT_FORM = "@-form"
-R_ENT_EXPLREFL = "@-explrefl"
-R_SEC_FORM = "$-form"
-R_SEC_EXPLREFL = "$-explrefl"
-R_WEAK_L = "weak-L"
-R_WEAK_R = "weak-R"
-R_CONTR_L = "contr-L"
-R_CONTR_R = "contr-R"
-
-ALL_RULES = (
-    R_AXIOM,
-    R_WITH_R,
-    R_WITH_L1,
-    R_WITH_L2,
-    R_PLUS_R1,
-    R_PLUS_R2,
-    R_PLUS_L,
-    R_TIMES_R,
-    R_TIMES_L,
-    R_PAR_R,
-    R_PAR_L,
-    R_ENT_FORM,
-    R_ENT_EXPLREFL,
-    R_SEC_FORM,
-    R_SEC_EXPLREFL,
-    R_WEAK_L,
-    R_WEAK_R,
-    R_CONTR_L,
-    R_CONTR_R,
-)
-
-# Deterministic attempt order: axiom, then structural, then the remaining
-# non-splitting rules, then the context-splitting rules.  Only the axiom /
-# non-splitting / splitting grouping is contractual; the placement of the
-# structural block reproduces the golden derivations exactly.
-RULE_ORDER = (
-    R_AXIOM,
-    R_WEAK_L,
-    R_WEAK_R,
-    R_CONTR_L,
-    R_CONTR_R,
-    R_WITH_R,
-    R_WITH_L1,
-    R_WITH_L2,
-    R_PLUS_R1,
-    R_PLUS_R2,
-    R_PLUS_L,
-    R_TIMES_L,
-    R_PAR_R,
-    R_ENT_FORM,
-    R_SEC_FORM,
-    R_TIMES_R,
-    R_PAR_L,
-    R_ENT_EXPLREFL,
-    R_SEC_EXPLREFL,
-)
-
-_DUAL_RULE = {
-    R_AXIOM: R_AXIOM,
-    R_WITH_R: R_PLUS_L,
-    R_WITH_L1: R_PLUS_R1,
-    R_WITH_L2: R_PLUS_R2,
-    R_PLUS_L: R_WITH_R,
-    R_PLUS_R1: R_WITH_L1,
-    R_PLUS_R2: R_WITH_L2,
-    R_TIMES_R: R_PAR_L,
-    R_TIMES_L: R_PAR_R,
-    R_PAR_L: R_TIMES_R,
-    R_PAR_R: R_TIMES_L,
-    R_ENT_FORM: R_SEC_FORM,
-    R_ENT_EXPLREFL: R_SEC_EXPLREFL,
-    R_SEC_FORM: R_ENT_FORM,
-    R_SEC_EXPLREFL: R_ENT_EXPLREFL,
-    R_WEAK_L: R_WEAK_R,
-    R_WEAK_R: R_WEAK_L,
-    R_CONTR_L: R_CONTR_R,
-    R_CONTR_R: R_CONTR_L,
-}
+# instances and enumeration
 
 
 @dataclass(frozen=True)
@@ -278,151 +292,15 @@ def axiom_check(s: Sequent) -> bool:
     )
 
 
-def _distinct(side: tuple[Formula, ...]) -> list[Formula]:
-    return list(dict.fromkeys(side))
-
-
-def _instances_for(rule: str, s: Sequent, cfg: LogicConfig) -> Iterator[RuleInstance]:
-    ante, succ = s.antecedent, s.succedent
-
-    if rule == R_AXIOM:
-        if axiom_check(s):
-            yield RuleInstance(rule, s, (), s.antecedent[0])
-        return
-
-    if rule == R_WEAK_L:
-        for f in _distinct(ante):
-            yield RuleInstance(rule, s, (Sequent(_remove_one(ante, f), succ),), f)
-        return
-    if rule == R_WEAK_R:
-        for f in _distinct(succ):
-            yield RuleInstance(rule, s, (Sequent(ante, _remove_one(succ, f)),), f)
-        return
-    if rule == R_CONTR_L:
-        for f in _distinct(ante):
-            yield RuleInstance(rule, s, (Sequent(_union(ante, (f,)), succ),), f)
-        return
-    if rule == R_CONTR_R:
-        for f in _distinct(succ):
-            yield RuleInstance(rule, s, (Sequent(ante, _union(succ, (f,))),), f)
-        return
-
-    if rule == R_WITH_R:
-        for f in _distinct(succ):
-            if isinstance(f, Binary) and f.conn is Conn.WITH:
-                rest = _remove_one(succ, f)
-                yield RuleInstance(
-                    rule,
-                    s,
-                    (Sequent(ante, _union(rest, (f.left,))), Sequent(ante, _union(rest, (f.right,)))),
-                    f,
-                )
-        return
-    if rule in (R_WITH_L1, R_WITH_L2):
-        for f in _distinct(ante):
-            if isinstance(f, Binary) and f.conn is Conn.WITH:
-                sub = f.left if rule == R_WITH_L1 else f.right
-                yield RuleInstance(
-                    rule, s, (Sequent(_union(_remove_one(ante, f), (sub,)), succ),), f
-                )
-        return
-    if rule == R_PLUS_L:
-        for f in _distinct(ante):
-            if isinstance(f, Binary) and f.conn is Conn.PLUS:
-                rest = _remove_one(ante, f)
-                yield RuleInstance(
-                    rule,
-                    s,
-                    (Sequent(_union(rest, (f.left,)), succ), Sequent(_union(rest, (f.right,)), succ)),
-                    f,
-                )
-        return
-    if rule in (R_PLUS_R1, R_PLUS_R2):
-        for f in _distinct(succ):
-            if isinstance(f, Binary) and f.conn is Conn.PLUS:
-                sub = f.left if rule == R_PLUS_R1 else f.right
-                yield RuleInstance(
-                    rule, s, (Sequent(ante, _union(_remove_one(succ, f), (sub,))),), f
-                )
-        return
-
-    if rule == R_TIMES_L:
-        for f in _distinct(ante):
-            if isinstance(f, Binary) and f.conn is Conn.TIMES:
-                yield RuleInstance(
-                    rule,
-                    s,
-                    (Sequent(_union(_remove_one(ante, f), (f.left, f.right)), succ),),
-                    f,
-                )
-        return
-    if rule == R_PAR_R:
-        for f in _distinct(succ):
-            if isinstance(f, Binary) and f.conn is Conn.PAR:
-                yield RuleInstance(
-                    rule,
-                    s,
-                    (Sequent(ante, _union(_remove_one(succ, f), (f.left, f.right))),),
-                    f,
-                )
-        return
-    if rule == R_ENT_FORM:
-        for f in _distinct(succ):
-            if isinstance(f, Binary) and f.conn is Conn.ENT:
-                yield RuleInstance(
-                    rule,
-                    s,
-                    (Sequent(ante, _union(_remove_one(succ, f), (f.left, f.right))),),
-                    f,
-                )
-        return
-    if rule == R_SEC_FORM:
-        for f in _distinct(ante):
-            if isinstance(f, Binary) and f.conn is Conn.SEC:
-                yield RuleInstance(
-                    rule,
-                    s,
-                    (Sequent(_union(_remove_one(ante, f), (f.left, f.right)), succ),),
-                    f,
-                )
-        return
-
-    if rule in (R_TIMES_R, R_SEC_EXPLREFL):
-        conn = Conn.TIMES if rule == R_TIMES_R else Conn.SEC
-        for f in _distinct(succ):
-            if isinstance(f, Binary) and f.conn is conn:
-                rest_succ = _remove_one(succ, f)
-                for a1, a2 in _submultisets(ante):
-                    for s1, s2 in _submultisets(rest_succ):
-                        yield RuleInstance(
-                            rule,
-                            s,
-                            (
-                                Sequent(a1, _union(s1, (f.left,))),
-                                Sequent(a2, _union(s2, (f.right,))),
-                            ),
-                            f,
-                        )
-        return
-    if rule in (R_PAR_L, R_ENT_EXPLREFL):
-        conn = Conn.PAR if rule == R_PAR_L else Conn.ENT
-        for f in _distinct(ante):
-            if isinstance(f, Binary) and f.conn is conn:
-                rest_ante = _remove_one(ante, f)
-                for a1, a2 in _submultisets(rest_ante):
-                    for s1, s2 in _submultisets(succ):
-                        yield RuleInstance(
-                            rule,
-                            s,
-                            (
-                                Sequent(_union(a1, (f.left,)), s1),
-                                Sequent(_union(a2, (f.right,)), s2),
-                            ),
-                            f,
-                        )
-        return
-
-    raise ValueError(f"unknown rule: {rule!r}")
+def _split_premises(side: str, rest: tuple[Formula, ...], passive: tuple[Formula, ...], f: Binary):
+    """Both premises of a context-splitting rule, for every split of the
+    contexts; the antecedent split is the outer loop on either side."""
+    ante, succ = (rest, passive) if side == LEFT else (passive, rest)
+    for (a1, a2), (s1, s2) in itertools.product(_submultisets(ante), _submultisets(succ)):
+        if side == LEFT:
+            yield Sequent(a1 + (f.left,), s1), Sequent(a2 + (f.right,), s2)
+        else:
+            yield Sequent(a1, s1 + (f.left,)), Sequent(a2, s2 + (f.right,))
 
 
 def rule_instances(s: Sequent, cfg: LogicConfig) -> list[RuleInstance]:
@@ -432,10 +310,28 @@ def rule_instances(s: Sequent, cfg: LogicConfig) -> list[RuleInstance]:
     partitions of the side contexts are enumerated in a fixed order.
     """
     out: list[RuleInstance] = []
-    for rule in RULE_ORDER:
-        if not cfg.rule_enabled(rule):
+    distinct = {LEFT: _distinct(s.antecedent), RIGHT: _distinct(s.succedent)}
+    for name in RULE_ORDER:
+        rule = RULES[name]
+        if not cfg.rule_enabled(name):
             continue
-        out.extend(_instances_for(rule, s, cfg))
+        if rule.kind == AXIOM:
+            if axiom_check(s):
+                out.append(RuleInstance(name, s, (), s.antecedent[0]))
+            continue
+        active, passive = s.side(rule.side), s.side(_OTHER[rule.side])
+        for f in distinct[rule.side]:
+            if not _can_be_principal(rule, f):
+                continue
+            rest = _remove_one(active, f)
+            if rule.kind == SPLIT:
+                splits = _split_premises(rule.side, rest, passive, f)
+                out.extend(RuleInstance(name, s, premises, f) for premises in splits)
+            else:
+                premises = tuple(
+                    _orient(rule.side, rest + new(f), passive) for new in _REPLACEMENTS[rule.kind]
+                )
+                out.append(RuleInstance(name, s, premises, f))
     return out
 
 
@@ -453,130 +349,53 @@ class CheckResult:
         return self.ok
 
 
-def _match_principal(side: tuple[Formula, ...], conn: Conn, recorded: Optional[Formula]) -> list[Binary]:
-    found = [f for f in _distinct(side) if isinstance(f, Binary) and f.conn is conn]
-    if recorded is not None:
-        found = [f for f in found if f == recorded]
-    return found
-
-
 def _instance_ok(inst: RuleInstance, cfg: LogicConfig) -> Optional[str]:
     """None when valid, else a reason string.  Validation is independent of
     the enumeration in :func:`rule_instances`: it solves multiset equations
     instead of replaying the search's split generation."""
-    rule, c, prem, recorded = inst.rule, inst.conclusion, inst.premises, inst.principal
-    if rule not in ALL_RULES:
-        return f"unknown rule {rule!r}"
-    if not cfg.rule_enabled(rule):
-        return f"rule {rule} not enabled by this configuration"
+    name, c, prem, recorded = inst.rule, inst.conclusion, inst.premises, inst.principal
+    rule = RULES.get(name)
+    if rule is None:
+        return f"unknown rule {name!r}"
+    if not cfg.rule_enabled(name):
+        return f"rule {name} not enabled by this configuration"
+    if len(prem) != _arity(rule):
+        return f"rule {name} takes {_arity(rule)} premise(s), got {len(prem)}"
 
-    def arity(n: int) -> Optional[str]:
-        if len(prem) != n:
-            return f"rule {rule} takes {n} premise(s), got {len(prem)}"
-        return None
-
-    if rule == R_AXIOM:
-        if err := arity(0):
-            return err
+    if rule.kind == AXIOM:
         if not axiom_check(c):
             return "axiom must be a literal identity"
         if recorded is not None and recorded != c.antecedent[0]:
             return "recorded principal does not match the axiom literal"
         return None
 
-    if rule in (R_WEAK_L, R_WEAK_R, R_CONTR_L, R_CONTR_R):
-        if err := arity(1):
-            return err
-        p = prem[0]
-        if rule == R_WEAK_L:
-            same, delta, grown = c.succedent == p.succedent, c.antecedent, p.antecedent
-        elif rule == R_WEAK_R:
-            same, delta, grown = c.antecedent == p.antecedent, c.succedent, p.succedent
-        elif rule == R_CONTR_L:
-            same, delta, grown = c.succedent == p.succedent, p.antecedent, c.antecedent
-        else:
-            same, delta, grown = c.antecedent == p.antecedent, p.succedent, c.succedent
-        # delta must equal grown plus exactly one formula
-        if not same or len(delta) != len(grown) + 1:
-            return f"premise of {rule} must differ by exactly one formula"
-        extra = list(delta)
-        for f in grown:
-            if f in extra:
-                extra.remove(f)
-            else:
-                return f"premise of {rule} is not a sub-multiset"
-        f = extra[0]
-        if rule in (R_CONTR_L, R_CONTR_R) and f not in grown:
-            return "contraction must duplicate a formula already present"
-        if recorded is not None and recorded != f:
-            return "recorded principal does not match"
-        return None
-
-    def one_premise_rewrite(side_of, other_of, conn: Conn, subs) -> Optional[str]:
-        if err := arity(1):
-            return err
-        p = prem[0]
-        if other_of(c) != other_of(p):
-            return f"{rule}: passive side must be unchanged"
-        for f in _match_principal(side_of(c), conn, recorded):
-            expected = _union(_remove_one(side_of(c), f), tuple(subs(f)))
-            if side_of(p) == expected:
-                return None
-        return f"{rule}: no principal formula matches the premise"
-
-    ante_of = lambda q: q.antecedent
-    succ_of = lambda q: q.succedent
-
-    if rule == R_WITH_L1:
-        return one_premise_rewrite(ante_of, succ_of, Conn.WITH, lambda f: (f.left,))
-    if rule == R_WITH_L2:
-        return one_premise_rewrite(ante_of, succ_of, Conn.WITH, lambda f: (f.right,))
-    if rule == R_PLUS_R1:
-        return one_premise_rewrite(succ_of, ante_of, Conn.PLUS, lambda f: (f.left,))
-    if rule == R_PLUS_R2:
-        return one_premise_rewrite(succ_of, ante_of, Conn.PLUS, lambda f: (f.right,))
-    if rule == R_TIMES_L:
-        return one_premise_rewrite(ante_of, succ_of, Conn.TIMES, lambda f: (f.left, f.right))
-    if rule == R_PAR_R:
-        return one_premise_rewrite(succ_of, ante_of, Conn.PAR, lambda f: (f.left, f.right))
-    if rule == R_ENT_FORM:
-        return one_premise_rewrite(succ_of, ante_of, Conn.ENT, lambda f: (f.left, f.right))
-    if rule == R_SEC_FORM:
-        return one_premise_rewrite(ante_of, succ_of, Conn.SEC, lambda f: (f.left, f.right))
-
-    if rule in (R_WITH_R, R_PLUS_L):
-        if err := arity(2):
-            return err
+    side, other = rule.side, _OTHER[rule.side]
+    active = c.side(side)
+    principals = [
+        f
+        for f in _distinct(active)
+        if _can_be_principal(rule, f) and (recorded is None or recorded == f)
+    ]
+    if rule.kind == SPLIT:
         p1, p2 = prem
-        conn = Conn.WITH if rule == R_WITH_R else Conn.PLUS
-        active_of, passive_of = (succ_of, ante_of) if rule == R_WITH_R else (ante_of, succ_of)
-        if passive_of(p1) != passive_of(c) or passive_of(p2) != passive_of(c):
-            return f"{rule}: shared context must be unchanged"
-        for f in _match_principal(active_of(c), conn, recorded):
-            rest = _remove_one(active_of(c), f)
-            if active_of(p1) == _union(rest, (f.left,)) and active_of(p2) == _union(rest, (f.right,)):
-                return None
-        return f"{rule}: premises do not match any principal formula"
-
-    if rule in (R_TIMES_R, R_SEC_EXPLREFL, R_PAR_L, R_ENT_EXPLREFL):
-        if err := arity(2):
-            return err
-        p1, p2 = prem
-        conn = {R_TIMES_R: Conn.TIMES, R_SEC_EXPLREFL: Conn.SEC, R_PAR_L: Conn.PAR, R_ENT_EXPLREFL: Conn.ENT}[rule]
-        right_side = rule in (R_TIMES_R, R_SEC_EXPLREFL)
-        active_of, passive_of = (succ_of, ante_of) if right_side else (ante_of, succ_of)
-        for f in _match_principal(active_of(c), conn, recorded):
-            if f.left not in active_of(p1) or f.right not in active_of(p2):
+        for f in principals:
+            if f.left not in p1.side(side) or f.right not in p2.side(side):
                 continue
             split_ok = _union(
-                _remove_one(active_of(p1), f.left), _remove_one(active_of(p2), f.right)
-            ) == _remove_one(active_of(c), f)
-            passive_ok = _union(passive_of(p1), passive_of(p2)) == passive_of(c)
-            if split_ok and passive_ok:
+                _remove_one(p1.side(side), f.left), _remove_one(p2.side(side), f.right)
+            ) == _remove_one(active, f)
+            if split_ok and _union(p1.side(other), p2.side(other)) == c.side(other):
                 return None
-        return f"{rule}: premises do not split the context of any principal formula"
+        return f"{name}: premises do not split the context of any principal formula"
 
-    return f"unhandled rule {rule!r}"
+    if any(p.side(other) != c.side(other) for p in prem):
+        return f"{name}: passive side must be unchanged"
+    for f in principals:
+        rest = _remove_one(active, f)
+        expected = (_union(rest, new(f)) for new in _REPLACEMENTS[rule.kind])
+        if all(p.side(side) == e for p, e in zip(prem, expected)):
+            return None
+    return f"{name}: no principal formula matches the premises"
 
 
 def check_proof(p: ProofTree, cfg: LogicConfig) -> CheckResult:

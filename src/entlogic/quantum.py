@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 TOLERANCE = 1e-12
 
 
@@ -32,10 +30,6 @@ class QuantumState:
     @property
     def num_qubits(self) -> int:
         return 1 if len(self.amplitudes) == 2 else 2
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array(self.amplitudes, dtype=complex)
 
 
 def make_qubit(a: complex, b: complex) -> QuantumState:
@@ -103,7 +97,7 @@ def fidelity(p: QuantumState, q: QuantumState) -> float:
     """Squared overlap |<p|q>|^2."""
     if len(p.amplitudes) != len(q.amplitudes):
         raise ValueError("fidelity needs states of equal dimension")
-    return float(abs(np.vdot(p.vector, q.vector)) ** 2)
+    return abs(sum(a.conjugate() * b for a, b in zip(p.amplitudes, q.amplitudes))) ** 2
 
 
 def is_separable(s: QuantumState) -> bool:

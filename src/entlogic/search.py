@@ -21,8 +21,8 @@ from typing import Optional, Union
 from .formulas import Binary, Conn, Formula, PosAtom, dual, expand_connectives, qubit_of
 from .kernel import (
     AT_EXPAND,
-    R_CONTR_L,
-    R_CONTR_R,
+    CONTRACT,
+    RULES,
     LogicConfig,
     ProofTree,
     Sequent,
@@ -88,11 +88,6 @@ class SearchResult:
     def is_unknown(self) -> bool:
         return self.verdict == UNKNOWN
 
-    @property
-    def exhausted(self) -> bool:
-        """True when the verdict rests on a fully swept search space."""
-        return self.verdict == NOT_PROVABLE
-
 
 def expand_sequent(s: Sequent) -> Sequent:
     """Rewrite every @/$ node on both sides by its definition."""
@@ -118,7 +113,12 @@ def clear_memo() -> None:
 
 
 class _TerminatingSearch:
-    """DFS for configurations without contraction (premise measure decreases)."""
+    """DFS for configurations without contraction (premise measure decreases).
+
+    A branch deeper than ``max_depth`` is cut and the next instance is tried;
+    a failure is memoized only when no cut happened below it, so the memo
+    holds absolute verdicts only.
+    """
 
     def __init__(self, cfg: LogicConfig, limits: SearchLimits):
         self.cfg = cfg
@@ -126,20 +126,24 @@ class _TerminatingSearch:
         self.sig = _cfg_sig(cfg)
         self.nodes = 0
         self.deepest = 0
+        self.depth_cuts = 0
 
-    def run(self, goal: Sequent) -> Optional[ProofTree]:
-        return self._search(goal, 1)
+    def run(self, goal: Sequent) -> tuple[Optional[ProofTree], Optional[str]]:
+        tree = self._search(goal, 1)
+        return tree, ("depth" if tree is None and self.depth_cuts else None)
 
     def _search(self, seq: Sequent, depth: int) -> Optional[ProofTree]:
         key = (self.sig, seq)
         if key in _MEMO:
             return _MEMO[key]
         if depth > self.limits.max_depth:
-            raise _Limit("depth")
+            self.depth_cuts += 1
+            return None
         self.nodes += 1
         if self.nodes > self.limits.max_nodes:
             raise _Limit("nodes")
         self.deepest = max(self.deepest, depth)
+        cuts_before = self.depth_cuts
         for inst in rule_instances(seq, self.cfg):
             children: list[ProofTree] = []
             for premise in inst.premises:
@@ -151,7 +155,8 @@ class _TerminatingSearch:
                 tree = ProofTree(inst, tuple(children))
                 _MEMO[key] = tree
                 return tree
-        _MEMO[key] = None
+        if self.depth_cuts == cuts_before:
+            _MEMO[key] = None
         return None
 
 
@@ -206,10 +211,9 @@ class _DeepeningSearch:
             if inst.premises and budget == 1:
                 self.budget_cuts += 1
                 continue
-            if self.limits.max_copies is not None and inst.rule in (R_CONTR_L, R_CONTR_R):
-                grown = inst.premises[0]
-                side = grown.antecedent if inst.rule == R_CONTR_L else grown.succedent
-                if side.count(inst.principal) > self.limits.max_copies:
+            if self.limits.max_copies is not None and RULES[inst.rule].kind == CONTRACT:
+                grown = inst.premises[0].side(RULES[inst.rule].side)
+                if grown.count(inst.principal) > self.limits.max_copies:
                     self.budget_cuts += 1
                     continue
             children: list[ProofTree] = []
@@ -243,19 +247,13 @@ def prove(s: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits] = None) -
 
     start = time.perf_counter()
     tree: Optional[ProofTree] = None
-    limit_hit: Optional[str] = None
-    if cfg.contraction:
-        engine: Union[_TerminatingSearch, _DeepeningSearch] = _DeepeningSearch(cfg, limits)
-        try:
-            tree, limit_hit = engine.run(goal)
-        except _Limit as cut:
-            limit_hit = cut.which
-    else:
-        engine = _TerminatingSearch(cfg, limits)
-        try:
-            tree = engine.run(goal)
-        except _Limit as cut:
-            limit_hit = cut.which
+    engine: Union[_TerminatingSearch, _DeepeningSearch] = (
+        _DeepeningSearch(cfg, limits) if cfg.contraction else _TerminatingSearch(cfg, limits)
+    )
+    try:
+        tree, limit_hit = engine.run(goal)
+    except _Limit as cut:
+        limit_hit = cut.which
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     stats = SearchStats(engine.nodes, engine.deepest, elapsed_ms)

@@ -20,6 +20,7 @@ from .search import (
     GoalRejectedError,
     IdempotenceReport,
     SearchLimits,
+    _as_conn,
     decide_idempotence,
 )
 from . import quantum
@@ -96,10 +97,6 @@ LINK_OF = {
 CLASS_STANDARD = "StandardSelfReference"
 CLASS_GENERALIZED = "GeneralizedSelfReference"
 CLASS_RECOVERED = "StandardRecoveredViaClone"
-
-
-def _as_conn(connective: Union[Conn, str]) -> Conn:
-    return connective if isinstance(connective, Conn) else Conn(connective)
 
 
 def self_compose(connective: Union[Conn, str], s0: Formula) -> Binary:

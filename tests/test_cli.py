@@ -220,3 +220,32 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 1
     assert proc.stdout.strip() == "NotProvable (exhaustive)"
+
+
+def test_internal_error_exits_70_without_a_verdict():
+    # the recursive parser overflows the stack on a 400-deep formula; that is
+    # the program failing, and must not read as NotProvable (1)
+    text = "A"
+    for _ in range(399):
+        text = f"({text} & A)"
+    proc = subprocess.run(
+        [sys.executable, "-m", "entlogic", "prove", text + " |- A"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 70
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, entlogic.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

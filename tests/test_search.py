@@ -6,6 +6,7 @@ from entlogic.kernel import LogicConfig, check_proof
 from entlogic.search import (
     GoalRejectedError,
     SearchLimits,
+    clear_memo,
     decide_equivalence,
     decide_idempotence,
     expand_sequent,
@@ -86,6 +87,23 @@ def test_node_limit_reports_unknown_not_notprovable():
 def test_depth_limit_reports_unknown():
     limits = SearchLimits(max_depth=2)
     result = prove(seq("Q(A) |- Q(A)@Q(A)"), CLASSICAL, limits)
+    assert result.is_unknown
+    assert result.limit_hit == "depth"
+
+
+def test_depth_cut_tries_the_next_instance():
+    # &L1 runs 100 levels down and is cut at max_depth 64; &L2 still proves it
+    text = "A"
+    for _ in range(99):
+        text = f"({text} & A)"
+    result = prove(seq(text + " |- A"), BASIC)
+    assert result.is_provable
+    assert result.limit_hit is None
+
+
+def test_depth_cut_without_proof_is_unknown():
+    clear_memo()  # a memoized proof from an earlier call would bypass the cut
+    result = prove(seq("A * B |- A * B"), BASIC, SearchLimits(max_depth=2))
     assert result.is_unknown
     assert result.limit_hit == "depth"
 
