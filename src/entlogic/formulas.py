@@ -5,14 +5,21 @@ involutive De Morgan dual.  The entanglement connective ``@`` and its dual
 ``$`` are only meaningful on qubit-shaped operands (an atom conjoined /
 disjoined with its own negation), and the maps that need to look inside an
 ``@``/``$`` node raise :class:`ShapeError` when that does not hold.
+
+Formula terms are hash-consed: the constructors look every term up in one
+intern table, so structurally equal formulas are the same object.  Equality
+and hashing are therefore object identity, and each term's sort key is
+computed once, when it is built.  The table holds its terms weakly, so a term
+that nothing else references leaves it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
-from functools import lru_cache
+from operator import attrgetter
 from typing import Union
 
 
@@ -25,6 +32,10 @@ class Conn(Enum):
     PAR = "par"   # multiplicative disjunction
     ENT = "@"     # entanglement
     SEC = "$"     # dual of entanglement
+
+    # Members are singletons, so identity hashing agrees with equality and
+    # keeps the intern-table lookup of a Binary free of Python-level calls.
+    __hash__ = object.__hash__
 
 
 # Fixed total order used by sorting keys and printers.
@@ -50,27 +61,70 @@ class ShapeError(ValueError):
     """An @/$ node was built over (or inspected with) non-qubit operands."""
 
 
-@dataclass(frozen=True)
-class PosAtom:
-    name: str
+# Every live formula term, keyed by its class and fields.  The children of a
+# Binary are interned before it, so the key compares them by identity.  The
+# constructors look a term up here first and build it only when it is absent.
+_TERMS: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDictionary()
+
+
+def _intern(cls, fields: tuple, sort_key: tuple):
+    """Build the term of class ``cls`` with ``fields`` and enter it in the
+    table; if another thread entered one first, that one is returned."""
+    term = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, fields):
+        object.__setattr__(term, name, value)
+    object.__setattr__(term, "sort_key", sort_key)
+    return _TERMS.setdefault((cls, *fields), term)
+
+
+class _Term:
+    """What the interned formula classes share: immutable fields, the
+    dataclass-style ``repr``, and pickling and copying through the
+    constructor.  Equality and hashing stay ``object``'s (identity)."""
+
+    __slots__ = ("sort_key", "__weakref__")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PosAtom(_Term):
+    __slots__ = __match_args__ = ("name",)
+
+    def __new__(cls, name: str) -> "PosAtom":
+        return _TERMS.get((cls, name)) or _intern(cls, (name,), (0, name, 0))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class NegAtom:
-    name: str
+class NegAtom(_Term):
+    __slots__ = __match_args__ = ("name",)
+
+    def __new__(cls, name: str) -> "NegAtom":
+        return _TERMS.get((cls, name)) or _intern(cls, (name,), (0, name, 1))
 
     def __str__(self) -> str:
         return "~" + self.name
 
 
-@dataclass(frozen=True)
-class Binary:
-    conn: Conn
-    left: "Formula"
-    right: "Formula"
+class Binary(_Term):
+    __slots__ = __match_args__ = ("conn", "left", "right")
+
+    def __new__(cls, conn: Conn, left: "Formula", right: "Formula") -> "Binary":
+        return _TERMS.get((cls, conn, left, right)) or _intern(
+            cls, (conn, left, right), (1, _CONN_INDEX[conn], left.sort_key, right.sort_key)
+        )
 
     def __str__(self) -> str:
         from .syntax import print_formula
@@ -98,14 +152,9 @@ def size(f: Formula) -> int:
     return 1 + size(f.left) + size(f.right)
 
 
-@lru_cache(maxsize=None)
-def sort_key(f: Formula):
-    """Total order on formulas; used for canonical multiset layout."""
-    if isinstance(f, PosAtom):
-        return (0, f.name, 0)
-    if isinstance(f, NegAtom):
-        return (0, f.name, 1)
-    return (1, _CONN_INDEX[f.conn], sort_key(f.left), sort_key(f.right))
+# Total order on formulas, used for canonical multiset layout: atoms by name
+# then polarity, before compounds by connective then operands.
+sort_key = attrgetter("sort_key")
 
 
 def dual(f: Formula) -> Formula:

@@ -25,6 +25,7 @@ from .kernel import (
     RULES,
     LogicConfig,
     ProofTree,
+    RuleInstance,
     Sequent,
     check_proof,
     rule_instances,
@@ -66,6 +67,11 @@ class SearchStats:
     nodes_expanded: int
     max_depth: int
     elapsed_ms: float
+    # deterministic work counters: rule instances enumerated, answers taken
+    # from a memo table, and branches cut by the depth or height budget
+    instances: int = 0
+    memo_hits: int = 0
+    cuts: int = 0
 
 
 @dataclass(frozen=True)
@@ -102,17 +108,64 @@ def _cfg_sig(cfg: LogicConfig) -> tuple:
     return (cfg.weakening, cfg.contraction, cfg.allow_ent)
 
 
+# A proof found with its height.
+_Found = tuple[ProofTree, int]
+
+
+def _join(inst: RuleInstance, prove_premise, *args) -> Optional[_Found]:
+    """The proof by ``inst`` from proofs of its premises, or None as soon as
+    ``prove_premise(premise, *args)`` fails on one of them."""
+    children: list[ProofTree] = []
+    height = 0
+    for premise in inst.premises:
+        sub = prove_premise(premise, *args)
+        if sub is None:
+            return None
+        children.append(sub[0])
+        height = max(height, sub[1])
+    return ProofTree(inst, tuple(children)), height + 1
+
 # Verdicts in the terminating regime are absolute, so the memo table is shared
-# across calls; entries are written only after their subsearch ran to
-# completion, which keeps entries valid even when a later call hits a limit.
-_MEMO: dict[tuple, Optional[ProofTree]] = {}
+# across calls: a sequent maps to a proof with its height, or to None when its
+# search failed without any depth cut below it.  A stored proof is reused only
+# where its height fits the depth left, so a verdict never depends on which
+# calls ran before.
+_MEMO: dict[tuple, Optional[_Found]] = {}
 
 
 def clear_memo() -> None:
     _MEMO.clear()
 
 
-class _TerminatingSearch:
+class _Engine:
+    """Limits, node expansion and counters shared by both engines."""
+
+    def __init__(self, cfg: LogicConfig, limits: SearchLimits):
+        self.cfg = cfg
+        self.limits = limits
+        self.nodes = 0
+        self.deepest = 0
+        self.instances = 0
+        self.memo_hits = 0
+        self.cuts = 0
+
+    def _expand(self, seq: Sequent, depth: int):
+        """Count a node expansion at ``depth`` and return its rule instances."""
+        self.nodes += 1
+        if self.nodes > self.limits.max_nodes:
+            raise _Limit("nodes")
+        self.deepest = max(self.deepest, depth)
+        instances = rule_instances(seq, self.cfg)
+        self.instances += len(instances)
+        return instances
+
+    def stats(self, elapsed_ms: float) -> SearchStats:
+        return SearchStats(
+            self.nodes, self.deepest, elapsed_ms, self.instances, self.memo_hits, self.cuts
+        )
+
+
+class _TerminatingSearch(_Engine):
     """DFS for configurations without contraction (premise measure decreases).
 
     A branch deeper than ``max_depth`` is cut and the next instance is tried;
@@ -121,46 +174,36 @@ class _TerminatingSearch:
     """
 
     def __init__(self, cfg: LogicConfig, limits: SearchLimits):
-        self.cfg = cfg
-        self.limits = limits
+        super().__init__(cfg, limits)
         self.sig = _cfg_sig(cfg)
-        self.nodes = 0
-        self.deepest = 0
-        self.depth_cuts = 0
 
     def run(self, goal: Sequent) -> tuple[Optional[ProofTree], Optional[str]]:
-        tree = self._search(goal, 1)
-        return tree, ("depth" if tree is None and self.depth_cuts else None)
+        found = self._search(goal, 1)
+        if found is None:
+            return None, ("depth" if self.cuts else None)
+        return found[0], None
 
-    def _search(self, seq: Sequent, depth: int) -> Optional[ProofTree]:
+    def _search(self, seq: Sequent, depth: int) -> Optional[_Found]:
         key = (self.sig, seq)
-        if key in _MEMO:
-            return _MEMO[key]
+        stored = _MEMO.get(key, ())  # () when the sequent was never decided
+        if stored is None or (stored and stored[1] <= self.limits.max_depth - depth + 1):
+            self.memo_hits += 1
+            return stored
         if depth > self.limits.max_depth:
-            self.depth_cuts += 1
+            self.cuts += 1
             return None
-        self.nodes += 1
-        if self.nodes > self.limits.max_nodes:
-            raise _Limit("nodes")
-        self.deepest = max(self.deepest, depth)
-        cuts_before = self.depth_cuts
-        for inst in rule_instances(seq, self.cfg):
-            children: list[ProofTree] = []
-            for premise in inst.premises:
-                sub = self._search(premise, depth + 1)
-                if sub is None:
-                    break
-                children.append(sub)
-            else:
-                tree = ProofTree(inst, tuple(children))
-                _MEMO[key] = tree
-                return tree
-        if self.depth_cuts == cuts_before:
+        cuts_before = self.cuts
+        for inst in self._expand(seq, depth):
+            found = _join(inst, self._search, depth + 1)
+            if found is not None:
+                _MEMO.setdefault(key, found)  # a stored proof that did not fit stays
+                return found
+        if self.cuts == cuts_before:
             _MEMO[key] = None
         return None
 
 
-class _DeepeningSearch:
+class _DeepeningSearch(_Engine):
     """Iterative deepening for configurations with contraction enabled.
 
     ``_dfs(seq, budget)`` decides the pure predicate "a proof of height at
@@ -175,58 +218,46 @@ class _DeepeningSearch:
     """
 
     def __init__(self, cfg: LogicConfig, limits: SearchLimits):
-        self.cfg = cfg
-        self.limits = limits
-        self.nodes = 0
-        self.deepest = 0
-        self.budget_cuts = 0
-        self.success: dict[Sequent, tuple[ProofTree, int]] = {}
+        super().__init__(cfg, limits)
+        self.success: dict[Sequent, _Found] = {}
         self.fail_at: dict[Sequent, float] = {}
 
     def run(self, goal: Sequent) -> tuple[Optional[ProofTree], Optional[str]]:
         for budget in range(1, self.limits.max_depth + 1):
-            self.budget_cuts = 0
-            tree = self._dfs(goal, budget, 1)
-            if tree is not None:
-                return tree, None
-            if self.budget_cuts == 0:
+            cuts_before = self.cuts
+            found = self._dfs(goal, budget, 1)
+            if found is not None:
+                return found[0], None
+            if self.cuts == cuts_before:
                 return None, None
         return None, "depth"
 
-    def _dfs(self, seq: Sequent, budget: int, depth: int) -> Optional[ProofTree]:
+    def _dfs(self, seq: Sequent, budget: int, depth: int) -> Optional[_Found]:
         cached = self.success.get(seq)
         if cached is not None and cached[1] <= budget:
-            return cached[0]
+            self.memo_hits += 1
+            return cached
         failed_at = self.fail_at.get(seq, 0)
         if budget <= failed_at:
+            self.memo_hits += 1
             if failed_at != float("inf"):
-                self.budget_cuts += 1  # that failure was budget-limited
+                self.cuts += 1  # that failure was budget-limited
             return None
-        self.nodes += 1
-        if self.nodes > self.limits.max_nodes:
-            raise _Limit("nodes")
-        self.deepest = max(self.deepest, depth)
-        cuts_before = self.budget_cuts
-        for inst in rule_instances(seq, self.cfg):
+        cuts_before = self.cuts
+        for inst in self._expand(seq, depth):
             if inst.premises and budget == 1:
-                self.budget_cuts += 1
+                self.cuts += 1
                 continue
             if self.limits.max_copies is not None and RULES[inst.rule].kind == CONTRACT:
                 grown = inst.premises[0].side(RULES[inst.rule].side)
                 if grown.count(inst.principal) > self.limits.max_copies:
-                    self.budget_cuts += 1
+                    self.cuts += 1
                     continue
-            children: list[ProofTree] = []
-            for premise in inst.premises:
-                sub = self._dfs(premise, budget - 1, depth + 1)
-                if sub is None:
-                    break
-                children.append(sub)
-            else:
-                tree = ProofTree(inst, tuple(children))
-                self.success[seq] = (tree, tree.height())
-                return tree
-        if self.budget_cuts == cuts_before:
+            found = _join(inst, self._dfs, budget - 1, depth + 1)
+            if found is not None:
+                self.success[seq] = found
+                return found
+        if self.cuts == cuts_before:
             self.fail_at[seq] = float("inf")
         else:
             self.fail_at[seq] = max(budget, failed_at)
@@ -256,7 +287,7 @@ def prove(s: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits] = None) -
         limit_hit = cut.which
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
-    stats = SearchStats(engine.nodes, engine.deepest, elapsed_ms)
+    stats = engine.stats(elapsed_ms)
     if tree is not None:
         verdict_check = check_proof(tree, cfg)
         if not verdict_check:

@@ -1,3 +1,8 @@
+import copy
+import gc
+import pickle
+import weakref
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -21,6 +26,8 @@ from entlogic.formulas import (
     sec,
     size,
 )
+from entlogic import formulas as formulas_module
+from entlogic.syntax import parse_formula
 from strategies import formulas
 
 
@@ -165,3 +172,75 @@ def test_size_positive_and_additive(f):
     assert n >= 1
     if isinstance(f, Binary):
         assert n == 1 + size(f.left) + size(f.right)
+
+
+# ---------------------------------------------------------------------------
+# interning: one object per distinct formula
+
+
+def test_parsing_twice_gives_the_same_object():
+    text = "((A * ~B) par Q(C)) | (Q(A) @ Q(B))"
+    assert parse_formula(text) is parse_formula(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas())
+def test_dual_of_dual_is_the_same_object(f):
+    assert dual(dual(f)) is f
+
+
+def test_expansion_without_ent_or_sec_is_the_same_object():
+    f = parse_formula("((A * ~B) par Q(C)) | (A & B)")
+    assert expand_connectives(f) is f
+
+
+def test_equal_structure_built_separately_is_identical():
+    assert Binary(Conn.PAR, PosAtom("A"), NegAtom("B")) is Binary(Conn.PAR, A, NB)
+    assert PosAtom("A") is not NegAtom("A")
+
+
+def test_fields_cannot_be_assigned():
+    f = Binary(Conn.TIMES, A, B)
+    with pytest.raises(AttributeError):
+        f.left = B
+    with pytest.raises(AttributeError):
+        A.name = "B"
+    with pytest.raises(AttributeError):
+        del NA.name
+    assert f.left is A and A.name == "A"
+
+
+def test_positional_match_patterns_bind():
+    match Binary(Conn.WITH, A, NB):
+        case Binary(conn, PosAtom(left), NegAtom(right)):
+            assert (conn, left, right) == (Conn.WITH, "A", "B")
+        case _:
+            pytest.fail("positional pattern did not match")
+
+
+def test_repr_is_the_dataclass_repr():
+    assert repr(A) == "PosAtom(name='A')"
+    assert repr(NB) == "NegAtom(name='B')"
+    assert repr(Binary(Conn.WITH, A, NB)) == (
+        "Binary(conn=<Conn.WITH: '&'>, left=PosAtom(name='A'), right=NegAtom(name='B'))"
+    )
+
+
+@pytest.mark.parametrize("f", [A, NA, Binary(Conn.PAR, qubit_of("A"), Binary(Conn.TIMES, B, NB))])
+def test_pickle_and_copy_return_the_identical_object(f):
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+
+
+def test_dead_terms_leave_the_intern_table():
+    def fresh_terms():
+        return [t for t in formulas_module._TERMS.values() if "Fresh_only_here" in repr(t)]
+
+    f = Binary(Conn.TIMES, PosAtom("Fresh_only_here"), NegAtom("Fresh_only_here"))
+    assert len(fresh_terms()) == 3
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+    assert fresh_terms() == []

@@ -108,6 +108,39 @@ def test_depth_cut_without_proof_is_unknown():
     assert result.limit_hit == "depth"
 
 
+def test_depth_limit_ignores_memoized_taller_proof():
+    # a full search first stores a height-3 proof; the depth-2 search that
+    # follows must not return it, so the verdict does not depend on history
+    goal = seq("A * B |- A * B")
+    full = prove(goal, BASIC)
+    assert full.is_provable and full.proof.height() == 3
+    result = prove(goal, BASIC, SearchLimits(max_depth=2))
+    assert result.is_unknown
+    assert result.limit_hit == "depth"
+    assert prove(goal, BASIC).proof == full.proof
+
+
+@pytest.mark.parametrize("cfg", [BASIC, CLASSICAL])
+def test_search_counters_are_deterministic(cfg):
+    goal = seq("Q(A)@Q(A) |- Q(A), Q(A)")
+    runs = []
+    for _ in range(2):
+        clear_memo()
+        stats = prove(goal, cfg).stats
+        runs.append((stats.nodes_expanded, stats.instances, stats.memo_hits, stats.cuts))
+    assert runs[0] == runs[1]
+    assert runs[0][1] >= runs[0][0] > 0
+
+
+def test_search_counters_count_memo_hits_and_cuts():
+    clear_memo()
+    goal = seq("A * B |- A * B")
+    assert prove(goal, BASIC, SearchLimits(max_depth=2)).stats.cuts > 0
+    assert prove(goal, BASIC).stats.cuts == 0
+    again = prove(goal, BASIC).stats
+    assert (again.nodes_expanded, again.memo_hits) == (0, 1)
+
+
 def test_unprovable_with_contraction_is_unknown_under_limits():
     # the contraction-enabled space for this goal is infinite; the engine
     # must come back Unknown rather than claim exhaustion
