@@ -22,23 +22,26 @@ def proved(text: str, cfg: LogicConfig, limits: SearchLimits | None = None) -> P
     return result.proof
 
 
+# The goals of the golden derivations and the configs they are proved in.
+GOLDEN_GOALS: list[tuple[str, LogicConfig]] = [
+    ("Q(A) |- Q(A)@Q(A)", CLASSICAL),
+    ("Q(A)@Q(A) |- Q(A)", CLASSICAL),
+    ("X & X |- X", BASIC),
+    ("X |- X & X", BASIC),
+    ("X | X |- X", BASIC),
+    ("(A | A) & (~A | ~A) |- Q(A)", BASIC),
+    ("Q(A) |- (A | A) & (~A | ~A)", BASIC),
+    ("A |- A par A", WEAK_ONLY),
+    ("A par A |- A", CONTR_ONLY),
+    ("A * A |- A", WEAK_ONLY),
+    ("A |- A * A", CONTR_ONLY),
+    ("Q(A)@Q(A) |- Q(A), Q(A)", BASIC),
+    ("Q(A), Q(A) |- Q(A)$Q(A)", BASIC),
+    ("Q(A)$Q(A) |- Q(A) * Q(A)", BASIC),
+]
+
+
 @pytest.fixture(scope="session")
 def golden_proofs() -> list[tuple[ProofTree, LogicConfig]]:
     """Known-good derivations across the rule repertoire, with their configs."""
-    goldens = [
-        (proved("Q(A) |- Q(A)@Q(A)", CLASSICAL), CLASSICAL),
-        (proved("Q(A)@Q(A) |- Q(A)", CLASSICAL), CLASSICAL),
-        (proved("X & X |- X", BASIC), BASIC),
-        (proved("X |- X & X", BASIC), BASIC),
-        (proved("X | X |- X", BASIC), BASIC),
-        (proved("(A | A) & (~A | ~A) |- Q(A)", BASIC), BASIC),
-        (proved("Q(A) |- (A | A) & (~A | ~A)", BASIC), BASIC),
-        (proved("A |- A par A", WEAK_ONLY), WEAK_ONLY),
-        (proved("A par A |- A", CONTR_ONLY), CONTR_ONLY),
-        (proved("A * A |- A", WEAK_ONLY), WEAK_ONLY),
-        (proved("A |- A * A", CONTR_ONLY), CONTR_ONLY),
-        (proved("Q(A)@Q(A) |- Q(A), Q(A)", BASIC), BASIC),
-        (proved("Q(A), Q(A) |- Q(A)$Q(A)", BASIC), BASIC),
-        (proved("Q(A)$Q(A) |- Q(A) * Q(A)", BASIC), BASIC),
-    ]
-    return goldens
+    return [(proved(text, cfg), cfg) for text, cfg in GOLDEN_GOALS]
