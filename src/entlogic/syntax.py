@@ -55,20 +55,26 @@ class ParseError(Exception):
         super().__init__(f"{message} at offset {span.start}{detail}")
 
 
-_TOKEN_SPECS = [
-    ("TURNSTILE", re.compile(r"\|-")),
-    ("AMP", re.compile(r"&")),
-    ("PIPE", re.compile(r"\|")),
-    ("STAR", re.compile(r"\*")),
-    ("AT", re.compile(r"@")),
-    ("DOLLAR", re.compile(r"\$")),
-    ("TILDE", re.compile(r"~")),
-    ("LPAREN", re.compile(r"\(")),
-    ("RPAREN", re.compile(r"\)")),
-    ("COMMA", re.compile(r",")),
-    ("IDENT", re.compile(r"[A-Z][A-Za-z0-9_]*")),
-    ("KEYWORD", re.compile(r"[a-z]+")),
-]
+# one alternation tried left to right, so "|-" wins over "|"
+_TOKEN_RE = re.compile(
+    "|".join(
+        f"(?P<{kind}>{pattern})"
+        for kind, pattern in (
+            ("TURNSTILE", r"\|-"),
+            ("AMP", r"&"),
+            ("PIPE", r"\|"),
+            ("STAR", r"\*"),
+            ("AT", r"@"),
+            ("DOLLAR", r"\$"),
+            ("TILDE", r"~"),
+            ("LPAREN", r"\("),
+            ("RPAREN", r"\)"),
+            ("COMMA", r","),
+            ("IDENT", r"[A-Z][A-Za-z0-9_]*"),
+            ("KEYWORD", r"[a-z]+"),
+        )
+    )
+)
 
 _BINOP_CONN = {
     "AMP": Conn.WITH,
@@ -101,19 +107,16 @@ def _tokenize(text: str) -> list[Token]:
         if text[i].isspace():
             i += 1
             continue
-        for kind, pattern in _TOKEN_SPECS:
-            m = pattern.match(text, i)
-            if m:
-                tok = Token(kind, m.group(), i, m.end())
-                if kind == "KEYWORD":
-                    if tok.text != "par":
-                        raise ParseError(tok.span, f"unknown keyword {tok.text!r}")
-                    tok = Token("PAR", tok.text, tok.start, tok.end)
-                tokens.append(tok)
-                i = m.end()
-                break
-        else:
+        m = _TOKEN_RE.match(text, i)
+        if not m:
             raise ParseError(SourceSpan(i, i + 1), f"unexpected character {text[i]!r}")
+        tok = Token(m.lastgroup, m.group(), i, m.end())
+        if tok.kind == "KEYWORD":
+            if tok.text != "par":
+                raise ParseError(tok.span, f"unknown keyword {tok.text!r}")
+            tok = Token("PAR", tok.text, tok.start, tok.end)
+        tokens.append(tok)
+        i = m.end()
     tokens.append(Token("EOF", "", n, n))
     return tokens
 
@@ -139,14 +142,42 @@ class _Parser:
         return self.advance()
 
     def formula(self) -> tuple[Formula, SourceSpan]:
-        left, lspan = self.term()
-        if self.peek().kind not in _BINOP_CONN:
-            return left, lspan
-        op = self.advance()
-        right, rspan = self.term()
+        # An explicit stack of open formulas, so nesting depth costs heap, not
+        # Python stack.  A frame is [its "(" token, the "~" before that "(",
+        # its left operand, its operator]; the outermost frame has no "(".
+        stack: list[list] = [[None, None, None, None]]
+        while True:
+            tilde = self.advance() if self.peek().kind == "TILDE" else None
+            if self.peek().kind == "LPAREN":
+                stack.append([self.advance(), tilde, None, None])
+                continue
+            value = self._negated(tilde, *self.term_core())
+            # feed the finished term to the open formulas, closing each one
+            # it completes
+            while True:
+                lparen, tilde, left, op = stack[-1]
+                if left is None and self.peek().kind in _BINOP_CONN:
+                    stack[-1][2:] = value, self.advance()
+                    break  # the right operand comes next
+                if left is not None:
+                    value = self._binary(left, op, value)
+                stack.pop()
+                if not stack:
+                    return value
+                close = self.expect("RPAREN", ")")
+                value = self._negated(tilde, value[0], SourceSpan(lparen.start, close.end))
+
+    @staticmethod
+    def _negated(tilde, f: Formula, span: SourceSpan) -> tuple[Formula, SourceSpan]:
+        if tilde is None:
+            return f, span
+        return dual(f), SourceSpan(tilde.start, span.end)
+
+    def _binary(self, left, op: Token, right) -> tuple[Formula, SourceSpan]:
+        (lf, lspan), (rf, rspan) = left, right
         conn = _BINOP_CONN[op.kind]
         if conn in (Conn.ENT, Conn.SEC):
-            for operand, span in ((left, lspan), (right, rspan)):
+            for operand, span in ((lf, lspan), (rf, rspan)):
                 if not is_qubit_shaped(operand):
                     raise ParseError(
                         span,
@@ -160,17 +191,10 @@ class _Parser:
                 "chained operators need explicit parentheses",
                 ("(", ")"),
             )
-        return Binary(conn, left, right), SourceSpan(lspan.start, rspan.end)
-
-    def term(self) -> tuple[Formula, SourceSpan]:
-        tok = self.peek()
-        if tok.kind == "TILDE":
-            self.advance()
-            inner, span = self.term_core()
-            return dual(inner), SourceSpan(tok.start, span.end)
-        return self.term_core()
+        return Binary(conn, lf, rf), SourceSpan(lspan.start, rspan.end)
 
     def term_core(self) -> tuple[Formula, SourceSpan]:
+        """An atom or ``Q(atom)``; :meth:`formula` handles parentheses."""
         tok = self.peek()
         if tok.kind == "IDENT":
             self.advance()
@@ -180,11 +204,6 @@ class _Parser:
                 close = self.expect("RPAREN", ")")
                 return qubit_of(atom.text), SourceSpan(tok.start, close.end)
             return PosAtom(tok.text), tok.span
-        if tok.kind == "LPAREN":
-            self.advance()
-            inner, _ = self.formula()
-            close = self.expect("RPAREN", ")")
-            return inner, SourceSpan(tok.start, close.end)
         raise ParseError(tok.span, "expected a formula term", _TERM_START)
 
     def formula_list(self, stop_kinds: tuple[str, ...]) -> list[Formula]:

@@ -1,18 +1,32 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import entlogic
 from entlogic.cli import main
 from entlogic.kernel import LogicConfig, check_proof
-from entlogic.syntax import proof_from_dict
+from entlogic.syntax import proof_from_dict, proof_from_json
+
+SRC = str(Path(entlogic.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python(*argv) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's entlogic."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=120, env=env
+    )
 
 
 def test_prove_not_provable_exits_1(capsys):
@@ -212,40 +226,38 @@ def test_output_is_deterministic(capsys):
 
 
 def test_module_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "entlogic", "prove", "Q(A) |- Q(A)@Q(A)", "--logic", "basic"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = python("-m", "entlogic", "prove", "Q(A) |- Q(A)@Q(A)", "--logic", "basic")
     assert proc.returncode == 1
     assert proc.stdout.strip() == "NotProvable (exhaustive)"
 
 
-def test_internal_error_exits_70_without_a_verdict():
-    # the recursive parser overflows the stack on a 400-deep formula; that is
-    # the program failing, and must not read as NotProvable (1)
+def test_internal_error_exits_70_without_a_verdict(capsys, monkeypatch):
+    # a failure of the program itself must not read as NotProvable (1)
+    def broken_prove(*args, **kwargs):
+        raise RuntimeError("search crashed")
+
+    monkeypatch.setattr("entlogic.cli.prove", broken_prove)
+    code, out, err = run(capsys, "prove", "A |- A")
+    assert code == 70
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert err.count("\n") == 1
+
+
+def test_deeply_nested_goal_proves_with_checked_proof():
+    # 400 levels of parentheses: the parser must not grow the Python stack
     text = "A"
     for _ in range(399):
         text = f"({text} & A)"
-    proc = subprocess.run(
-        [sys.executable, "-m", "entlogic", "prove", text + " |- A"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 70
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("internal error: ")
-    assert proc.stderr.count("\n") == 1
+    proc = python("-m", "entlogic", "prove", text + " |- A", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["verdict"] == "provable"
+    tree = proof_from_json(json.dumps(payload["proof"]))
+    assert check_proof(tree, LogicConfig.preset("basic"))
 
 
 def test_cli_import_does_not_load_numpy():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, entlogic.cli; print('numpy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = python("-c", "import sys, entlogic.cli; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
