@@ -1,14 +1,16 @@
 """Backward proof search with definitive non-provability verdicts.
 
-With contraction disabled every rule's premises are strictly smaller than its
-conclusion, so plain depth-first search with memoization terminates and a
-failed exhaustive search is a definitive NotProvable.  With contraction
-enabled, premises can grow and the space is usually infinite; the engine
-switches to iterative deepening over proof height, which finds a minimal
-derivation whenever one exists and reports Unknown when a limit binds.
-Repeated sequents along a branch need no dedicated loop check: a proof with
-such a repeat can always be shortened past it, and the height budget already
-bounds every branch.
+One engine decides every configuration: a memoised depth-first search for a
+proof of height at most a budget, run over a sequence of budgets.  A round
+that cuts no branch at its budget has swept the whole space, so its failure
+is a definitive NotProvable.  With contraction disabled every rule's premises
+are strictly smaller than its conclusion, so a single round at the depth
+limit suffices.  With contraction enabled premises can grow and the space is
+usually infinite; the rounds then deepen the budget one step at a time
+(iterative deepening), which finds a minimal-height derivation whenever one
+exists and reports Unknown when a limit binds.  Repeated sequents along a
+branch need no dedicated loop check: a proof with such a repeat can always be
+shortened past it, and the budget already bounds every branch.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .kernel import (
     RULES,
     LogicConfig,
     ProofTree,
-    RuleInstance,
     Sequent,
     check_proof,
     rule_instances,
@@ -110,129 +111,59 @@ def _cfg_sig(cfg: LogicConfig) -> tuple:
 
 # A proof found with its height.
 _Found = tuple[ProofTree, int]
+# The memo tables: sequent -> the first proof found for it, with its height;
+# sequent -> the budget its search failed at (inf: failed outright).
+_Tables = tuple[dict[Sequent, _Found], dict[Sequent, float]]
 
+_INF = float("inf")
 
-def _join(inst: RuleInstance, prove_premise, *args) -> Optional[_Found]:
-    """The proof by ``inst`` from proofs of its premises, or None as soon as
-    ``prove_premise(premise, *args)`` fails on one of them."""
-    children: list[ProofTree] = []
-    height = 0
-    for premise in inst.premises:
-        sub = prove_premise(premise, *args)
-        if sub is None:
-            return None
-        children.append(sub[0])
-        height = max(height, sub[1])
-    return ProofTree(inst, tuple(children)), height + 1
-
-# Verdicts in the terminating regime are absolute, so the memo table is shared
-# across calls: a sequent maps to a proof with its height, or to None when its
-# search failed without any depth cut below it.  A stored proof is reused only
-# where its height fits the depth left, so a verdict never depends on which
-# calls ran before.
-_MEMO: dict[tuple, Optional[_Found]] = {}
+# Tables shared across calls, one pair per configuration.  Only searches
+# without contraction use them: those record outright failures only, which
+# hold at every budget.  A search with contraction starts from fresh tables,
+# so its budget-limited failures and node-limited verdicts do not depend on
+# earlier calls.
+_MEMO: dict[tuple, _Tables] = {}
 
 
 def clear_memo() -> None:
     _MEMO.clear()
 
 
-class _Engine:
-    """Limits, node expansion and counters shared by both engines."""
+class _Search:
+    """Memoised DFS for a proof within a height budget, run round by round.
+
+    ``_dfs(seq, budget)`` decides "a proof of height at most ``budget``
+    exists".  A failure with no cut below it means the backward search tree
+    under the sequent is finite and fully swept, so it holds at every budget
+    (recorded as ``inf``).  The depth a node sits at is ``round - budget + 1``.
+    """
 
     def __init__(self, cfg: LogicConfig, limits: SearchLimits):
         self.cfg = cfg
         self.limits = limits
+        self.success, self.fail_at = (
+            ({}, {}) if cfg.contraction else _MEMO.setdefault(_cfg_sig(cfg), ({}, {}))
+        )
+        self.round = 0
         self.nodes = 0
         self.deepest = 0
         self.instances = 0
         self.memo_hits = 0
         self.cuts = 0
 
-    def _expand(self, seq: Sequent, depth: int):
-        """Count a node expansion at ``depth`` and return its rule instances."""
-        self.nodes += 1
-        if self.nodes > self.limits.max_nodes:
-            raise _Limit("nodes")
-        self.deepest = max(self.deepest, depth)
-        instances = rule_instances(seq, self.cfg)
-        self.instances += len(instances)
-        return instances
-
-    def stats(self, elapsed_ms: float) -> SearchStats:
-        return SearchStats(
-            self.nodes, self.deepest, elapsed_ms, self.instances, self.memo_hits, self.cuts
-        )
-
-
-class _TerminatingSearch(_Engine):
-    """DFS for configurations without contraction (premise measure decreases).
-
-    A branch deeper than ``max_depth`` is cut and the next instance is tried;
-    a failure is memoized only when no cut happened below it, so the memo
-    holds absolute verdicts only.
-    """
-
-    def __init__(self, cfg: LogicConfig, limits: SearchLimits):
-        super().__init__(cfg, limits)
-        self.sig = _cfg_sig(cfg)
-
     def run(self, goal: Sequent) -> tuple[Optional[ProofTree], Optional[str]]:
-        found = self._search(goal, 1)
-        if found is None:
-            return None, ("depth" if self.cuts else None)
-        return found[0], None
-
-    def _search(self, seq: Sequent, depth: int) -> Optional[_Found]:
-        key = (self.sig, seq)
-        stored = _MEMO.get(key, ())  # () when the sequent was never decided
-        if stored is None or (stored and stored[1] <= self.limits.max_depth - depth + 1):
-            self.memo_hits += 1
-            return stored
-        if depth > self.limits.max_depth:
-            self.cuts += 1
-            return None
-        cuts_before = self.cuts
-        for inst in self._expand(seq, depth):
-            found = _join(inst, self._search, depth + 1)
-            if found is not None:
-                _MEMO.setdefault(key, found)  # a stored proof that did not fit stays
-                return found
-        if self.cuts == cuts_before:
-            _MEMO[key] = None
-        return None
-
-
-class _DeepeningSearch(_Engine):
-    """Iterative deepening for configurations with contraction enabled.
-
-    ``_dfs(seq, budget)`` decides the pure predicate "a proof of height at
-    most ``budget`` exists", so results are memoizable without reference to
-    the path taken: successes are reused whenever the stored tree fits the
-    budget, and a failure at budget ``b`` covers every smaller budget.  A
-    failure established without any budget truncation means the backward
-    search tree below the sequent is finite and fully swept, so it rules out
-    proofs of every height (recorded as a failure at infinity); an iteration
-    of the outer loop that finishes without truncation anywhere therefore
-    yields a definitive NotProvable even with contraction on.
-    """
-
-    def __init__(self, cfg: LogicConfig, limits: SearchLimits):
-        super().__init__(cfg, limits)
-        self.success: dict[Sequent, _Found] = {}
-        self.fail_at: dict[Sequent, float] = {}
-
-    def run(self, goal: Sequent) -> tuple[Optional[ProofTree], Optional[str]]:
-        for budget in range(1, self.limits.max_depth + 1):
+        top = self.limits.max_depth
+        for budget in range(1, top + 1) if self.cfg.contraction else (top,):
+            self.round = budget
             cuts_before = self.cuts
-            found = self._dfs(goal, budget, 1)
+            found = self._dfs(goal, budget)
             if found is not None:
                 return found[0], None
             if self.cuts == cuts_before:
                 return None, None
         return None, "depth"
 
-    def _dfs(self, seq: Sequent, budget: int, depth: int) -> Optional[_Found]:
+    def _dfs(self, seq: Sequent, budget: int) -> Optional[_Found]:
         cached = self.success.get(seq)
         if cached is not None and cached[1] <= budget:
             self.memo_hits += 1
@@ -240,28 +171,47 @@ class _DeepeningSearch(_Engine):
         failed_at = self.fail_at.get(seq, 0)
         if budget <= failed_at:
             self.memo_hits += 1
-            if failed_at != float("inf"):
+            if failed_at != _INF:
                 self.cuts += 1  # that failure was budget-limited
             return None
+        if budget == 0:
+            self.cuts += 1
+            return None
+        self.nodes += 1
+        if self.nodes > self.limits.max_nodes:
+            raise _Limit("nodes")
+        self.deepest = max(self.deepest, self.round - budget + 1)
+        instances = rule_instances(seq, self.cfg)
+        self.instances += len(instances)
         cuts_before = self.cuts
-        for inst in self._expand(seq, depth):
-            if inst.premises and budget == 1:
-                self.cuts += 1
-                continue
+        for inst in instances:
             if self.limits.max_copies is not None and RULES[inst.rule].kind == CONTRACT:
                 grown = inst.premises[0].side(RULES[inst.rule].side)
                 if grown.count(inst.principal) > self.limits.max_copies:
                     self.cuts += 1
                     continue
-            found = _join(inst, self._dfs, budget - 1, depth + 1)
-            if found is not None:
-                self.success[seq] = found
+            children: list[ProofTree] = []
+            height = 0
+            for premise in inst.premises:
+                sub = self._dfs(premise, budget - 1)
+                if sub is None:
+                    break
+                children.append(sub[0])
+                height = max(height, sub[1])
+            else:
+                found = ProofTree(inst, tuple(children)), height + 1
+                self.success.setdefault(seq, found)  # a stored proof that did not fit stays
                 return found
         if self.cuts == cuts_before:
-            self.fail_at[seq] = float("inf")
-        else:
-            self.fail_at[seq] = max(budget, failed_at)
+            self.fail_at[seq] = _INF
+        elif self.cfg.contraction:  # a budget-limited failure: only for this call's tables
+            self.fail_at[seq] = budget
         return None
+
+    def stats(self, elapsed_ms: float) -> SearchStats:
+        return SearchStats(
+            self.nodes, self.deepest, elapsed_ms, self.instances, self.memo_hits, self.cuts
+        )
 
 
 def prove(s: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits] = None) -> SearchResult:
@@ -278,9 +228,7 @@ def prove(s: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits] = None) -
 
     start = time.perf_counter()
     tree: Optional[ProofTree] = None
-    engine: Union[_TerminatingSearch, _DeepeningSearch] = (
-        _DeepeningSearch(cfg, limits) if cfg.contraction else _TerminatingSearch(cfg, limits)
-    )
+    engine = _Search(cfg, limits)
     try:
         tree, limit_hit = engine.run(goal)
     except _Limit as cut:

@@ -7,12 +7,11 @@ trees use all 19 rules.  The enumeration pins fix the rule-name sequence that
 ``golden_search.txt`` pins what ``prove`` returns (verdict, limit, node count,
 depth reached and the text proof) on a fixed goal set under five
 configurations, plus one depth-limited sequence that shares the memo across
-calls.  Regenerate it with ``python tests/test_golden.py`` after a deliberate
-change of search behaviour.
+calls.  After a deliberate change of search behaviour, regenerate it with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -106,4 +105,3 @@ def test_search_results_match_golden():
 
 if __name__ == "__main__":
     GOLDEN_SEARCH.write_text(render_search_golden())
-    sys.exit(0)

@@ -120,6 +120,20 @@ def test_depth_limit_ignores_memoized_taller_proof():
     assert prove(goal, BASIC).proof == full.proof
 
 
+def test_shorter_proof_under_tighter_limit_does_not_replace_stored_one():
+    # the depth-2 call finds a shorter proof than the stored one; a later
+    # unlimited call still returns the proof a fresh process would
+    text = "A"
+    for _ in range(99):
+        text = f"({text} & A)"
+    goal = seq(text + " |- A")
+    clear_memo()
+    first = prove(goal, BASIC).proof
+    assert prove(goal, BASIC, SearchLimits(max_depth=2)).proof.height() == 2
+    assert prove(goal, BASIC).proof == first
+    assert first.height() > 2
+
+
 @pytest.mark.parametrize("cfg", [BASIC, CLASSICAL])
 def test_search_counters_are_deterministic(cfg):
     goal = seq("Q(A)@Q(A) |- Q(A), Q(A)")
