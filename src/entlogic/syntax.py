@@ -57,23 +57,12 @@ class ParseError(Exception):
 
 # one alternation tried left to right, so "|-" wins over "|"
 _TOKEN_RE = re.compile(
-    "|".join(
-        f"(?P<{kind}>{pattern})"
-        for kind, pattern in (
-            ("TURNSTILE", r"\|-"),
-            ("AMP", r"&"),
-            ("PIPE", r"\|"),
-            ("STAR", r"\*"),
-            ("AT", r"@"),
-            ("DOLLAR", r"\$"),
-            ("TILDE", r"~"),
-            ("LPAREN", r"\("),
-            ("RPAREN", r"\)"),
-            ("COMMA", r","),
-            ("IDENT", r"[A-Z][A-Za-z0-9_]*"),
-            ("KEYWORD", r"[a-z]+"),
-        )
-    )
+    r"""
+    (?P<TURNSTILE>\|-) | (?P<AMP>&) | (?P<PIPE>\|) | (?P<STAR>\*) | (?P<AT>@)
+    | (?P<DOLLAR>\$) | (?P<TILDE>~) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,)
+    | (?P<IDENT>[A-Z][A-Za-z0-9_]*) | (?P<KEYWORD>[a-z]+)
+    """,
+    re.VERBOSE,
 )
 
 _BINOP_CONN = {
