@@ -168,8 +168,8 @@ class _Search:
         if cached is not None and cached[1] <= budget:
             self.memo_hits += 1
             return cached
-        failed_at = self.fail_at.get(seq, 0)
-        if budget <= failed_at:
+        failed_at = self.fail_at.get(seq)
+        if failed_at is not None and budget <= failed_at:
             self.memo_hits += 1
             if failed_at != _INF:
                 self.cuts += 1  # that failure was budget-limited
