@@ -7,7 +7,11 @@ trees use all 19 rules.  The enumeration pins fix the rule-name sequence that
 ``golden_search.txt`` pins what ``prove`` returns (verdict, limit, node count,
 depth reached and the text proof) on a fixed goal set under five
 configurations, plus one depth-limited sequence that shares the memo across
-calls.  After a deliberate change of search behaviour, regenerate it with
+calls.  ``golden_formulas.txt`` pins the formula maps and printers on every
+formula of those goals and of the idempotence tests (text, LaTeX, dual,
+size, ``@``/``$`` expansion and classical collapse, or the ``ShapeError`` they
+raise), then the LaTeX rendering of the golden derivations and their duals.
+After a deliberate change of behaviour, regenerate both with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -16,15 +20,33 @@ from pathlib import Path
 
 import pytest
 
+from entlogic.formulas import (
+    Binary,
+    Conn,
+    PosAtom,
+    ShapeError,
+    classical_collapse,
+    dual,
+    expand_connectives,
+    qubit_of,
+    size,
+)
 from entlogic.kernel import ALL_RULES, dualize_proof, rule_instances
-from entlogic.search import SearchLimits, clear_memo, prove
-from entlogic.syntax import parse_sequent, print_proof, print_sequent
+from entlogic.search import SearchLimits, _idempotence_pair, clear_memo, prove
+from entlogic.syntax import (
+    formula_to_latex,
+    parse_sequent,
+    print_formula,
+    print_proof,
+    print_sequent,
+)
 
 import conftest
 from strategies import random_sequent
 
 GOLDEN_TEXT = Path(__file__).with_name("golden_proofs.txt")
 GOLDEN_SEARCH = Path(__file__).with_name("golden_search.txt")
+GOLDEN_FORMULAS = Path(__file__).with_name("golden_formulas.txt")
 
 
 def test_golden_proofs_and_duals_render_byte_identically(golden_proofs):
@@ -103,5 +125,55 @@ def test_search_results_match_golden():
     assert render_search_golden() == GOLDEN_SEARCH.read_text()
 
 
+# @/$ nodes the parser cannot build: the maps that look inside them must raise
+MISSHAPEN = (
+    Binary(Conn.ENT, PosAtom("A"), qubit_of("B")),
+    Binary(Conn.TIMES, PosAtom("C"), Binary(Conn.SEC, qubit_of("A"), PosAtom("B"))),
+    Binary(Conn.ENT, Binary(Conn.ENT, qubit_of("A"), qubit_of("B")), qubit_of("C")),
+)
+
+
+def _corpus():
+    goals = [parse_sequent(t) for t in FLAGSHIPS] + [
+        parse_sequent(t) for t, _ in conftest.GOLDEN_GOALS
+    ]
+    formulas = [f for g in goals + _random_goals() for f in g.antecedent + g.succedent]
+    formulas += [f for conn in Conn for f in _idempotence_pair(conn)]
+    return list(dict.fromkeys(formulas + list(MISSHAPEN)))
+
+
+def _shaped(fn, f) -> str:
+    try:
+        return print_formula(fn(f))
+    except ShapeError as err:
+        return f"ShapeError: {err}"
+
+
+def render_formula_golden(trees) -> str:
+    entries = [
+        "\n".join(
+            (
+                f"== {print_formula(f)}",
+                f"latex: {formula_to_latex(f)}",
+                f"dual: {print_formula(dual(f))}",
+                f"size: {size(f)}",
+                f"expand: {_shaped(expand_connectives, f)}",
+                f"collapse: {_shaped(classical_collapse, f)}",
+            )
+        )
+        for f in _corpus()
+    ]
+    entries += [print_proof(t, "latex") for tree in trees for t in (tree, dualize_proof(tree))]
+    return "\n\n".join(entries) + "\n"
+
+
+def test_formula_maps_and_latex_match_golden(golden_proofs):
+    trees = [tree for tree, _ in golden_proofs]
+    assert render_formula_golden(trees) == GOLDEN_FORMULAS.read_text()
+
+
 if __name__ == "__main__":
     GOLDEN_SEARCH.write_text(render_search_golden())
+    GOLDEN_FORMULAS.write_text(
+        render_formula_golden([conftest.proved(t, cfg) for t, cfg in conftest.GOLDEN_GOALS])
+    )
