@@ -27,6 +27,7 @@ from .search import (
     prove,
 )
 from .selfref import (
+    AnalyzerError,
     build_report,
     matrix_row_to_dict,
     matrix_to_text,
@@ -378,6 +379,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (_UsageError, ParseError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EX_USAGE
+    except AnalyzerError as err:  # a search limit left a sub-question open
+        print(f"unknown: {err}", file=sys.stderr)
+        return EX_UNKNOWN
     except Exception as err:
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EX_INTERNAL

@@ -51,8 +51,6 @@ DUAL_CONN = {
 }
 
 ADDITIVE = (Conn.WITH, Conn.PLUS)
-MULTIPLICATIVE = (Conn.TIMES, Conn.PAR)
-ENTANGLEMENT = (Conn.ENT, Conn.SEC)
 
 _ATOM_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 
@@ -145,11 +143,33 @@ def is_literal(f: Formula) -> bool:
     return isinstance(f, (PosAtom, NegAtom))
 
 
+def fold(f: Formula, leaf, node):
+    """Evaluate ``f`` bottom-up: ``leaf(lit)`` at each literal and
+    ``node(b, left_value, right_value)`` at each compound ``b``.
+
+    The walk keeps its own stack, so nesting depth costs heap, not Python
+    frames, and each distinct subterm is evaluated once, left before right.
+    """
+    if not isinstance(f, Binary):
+        return leaf(f)  # a literal needs no table
+    value: dict = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in value:
+            stack.pop()
+        elif not isinstance(g, Binary):
+            value[g] = leaf(stack.pop())
+        elif g.left in value and g.right in value:
+            value[stack.pop()] = node(g, value[g.left], value[g.right])
+        else:
+            stack += (g.right, g.left)  # the left operand is evaluated first
+    return value[f]
+
+
 def size(f: Formula) -> int:
     """Number of nodes in the formula tree."""
-    if is_literal(f):
-        return 1
-    return 1 + size(f.left) + size(f.right)
+    return fold(f, lambda _: 1, lambda _, l, r: 1 + l + r)
 
 
 # Total order on formulas, used for canonical multiset layout: atoms by name
@@ -159,14 +179,11 @@ sort_key = attrgetter("sort_key")
 
 def dual(f: Formula) -> Formula:
     """De Morgan dual: flip literal polarity, exchange &/|, */par, @/$."""
-    match f:
-        case PosAtom(name):
-            return NegAtom(name)
-        case NegAtom(name):
-            return PosAtom(name)
-        case Binary(conn, left, right):
-            return Binary(DUAL_CONN[conn], dual(left), dual(right))
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(
+        f,
+        lambda lit: NegAtom(lit.name) if isinstance(lit, PosAtom) else PosAtom(lit.name),
+        lambda g, l, r: Binary(DUAL_CONN[g.conn], l, r),
+    )
 
 
 def is_qubit_shaped(f: Formula) -> bool:
@@ -210,83 +227,60 @@ def qubit_of(atom: str) -> Binary:
     return QubitFormula(_check_atom_name(atom)).formula()
 
 
+def _qubit_node(conn: Conn, left: Formula, right: Formula) -> Binary:
+    if not (is_qubit_shaped(left) and is_qubit_shaped(right)):
+        raise ShapeError(f"{conn.value} needs qubit-shaped operands, got {left} {conn.value} {right}")
+    return Binary(conn, left, right)
+
+
 def ent(left: Formula, right: Formula) -> Binary:
     """Entanglement node; operands must be qubit-shaped."""
-    if not (is_qubit_shaped(left) and is_qubit_shaped(right)):
-        raise ShapeError(f"@ needs qubit-shaped operands, got {left} @ {right}")
-    return Binary(Conn.ENT, left, right)
+    return _qubit_node(Conn.ENT, left, right)
 
 
 def sec(left: Formula, right: Formula) -> Binary:
     """Dual-entanglement node; operands must be qubit-shaped."""
-    if not (is_qubit_shaped(left) and is_qubit_shaped(right)):
-        raise ShapeError(f"$ needs qubit-shaped operands, got {left} $ {right}")
-    return Binary(Conn.SEC, left, right)
+    return _qubit_node(Conn.SEC, left, right)
+
+
+def _expansion(outer: Conn, inner: Conn, a: str, b: str) -> Binary:
+    """(A inner B) outer (~A inner ~B)."""
+    return Binary(outer, Binary(inner, PosAtom(a), PosAtom(b)), Binary(inner, NegAtom(a), NegAtom(b)))
 
 
 def expand_entanglement(qa: QubitFormula, qb: QubitFormula) -> Binary:
     """Defining expansion of @: (A par B) & (~A par ~B)."""
-    a, b = qa.atom, qb.atom
-    return Binary(
-        Conn.WITH,
-        Binary(Conn.PAR, PosAtom(a), PosAtom(b)),
-        Binary(Conn.PAR, NegAtom(a), NegAtom(b)),
-    )
+    return _expansion(Conn.WITH, Conn.PAR, qa.atom, qb.atom)
 
 
 def expand_sec(qa: QubitFormula, qb: QubitFormula) -> Binary:
     """Defining expansion of $: (A * B) | (~A * ~B)."""
-    a, b = qa.atom, qb.atom
-    return Binary(
-        Conn.PLUS,
-        Binary(Conn.TIMES, PosAtom(a), PosAtom(b)),
-        Binary(Conn.TIMES, NegAtom(a), NegAtom(b)),
-    )
+    return _expansion(Conn.PLUS, Conn.TIMES, qa.atom, qb.atom)
+
+
+_EXPAND = {Conn.ENT: expand_entanglement, Conn.SEC: expand_sec}
+
+
+def _expand_node(g: Binary, left: Formula, right: Formula) -> Formula:
+    if g.conn in _EXPAND:
+        return _EXPAND[g.conn](QubitFormula(qubit_atom(g.left)), QubitFormula(qubit_atom(g.right)))
+    return Binary(g.conn, left, right)
 
 
 def expand_connectives(f: Formula) -> Formula:
     """Rewrite every @/$ node by its definition; other structure unchanged."""
-    match f:
-        case PosAtom() | NegAtom():
-            return f
-        case Binary(Conn.ENT, left, right):
-            return expand_entanglement(
-                QubitFormula(qubit_atom(left)), QubitFormula(qubit_atom(right))
-            )
-        case Binary(Conn.SEC, left, right):
-            return expand_sec(
-                QubitFormula(qubit_atom(left)), QubitFormula(qubit_atom(right))
-            )
-        case Binary(conn, left, right):
-            return Binary(conn, expand_connectives(left), expand_connectives(right))
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, lambda lit: lit, _expand_node)
+
+
+_COLLAPSE = {Conn.TIMES: Conn.WITH, Conn.PAR: Conn.PLUS}
 
 
 def classical_collapse(f: Formula) -> Formula:
-    """Map into the structural fragment: * -> &, par -> |, and each @/$ node
-    to its additive image (A|B)&(~A|~B) resp. (A&B)|(~A&~B).
-
-    The @/$ cases need qubit-shaped operands to name the atoms; anything else
-    raises :class:`ShapeError`.
-    """
-    match f:
-        case PosAtom() | NegAtom():
-            return f
-        case Binary(Conn.ENT, left, right):
-            a, b = qubit_atom(left), qubit_atom(right)
-            return Binary(
-                Conn.WITH,
-                Binary(Conn.PLUS, PosAtom(a), PosAtom(b)),
-                Binary(Conn.PLUS, NegAtom(a), NegAtom(b)),
-            )
-        case Binary(Conn.SEC, left, right):
-            a, b = qubit_atom(left), qubit_atom(right)
-            return Binary(
-                Conn.PLUS,
-                Binary(Conn.WITH, PosAtom(a), PosAtom(b)),
-                Binary(Conn.WITH, NegAtom(a), NegAtom(b)),
-            )
-        case Binary(conn, left, right):
-            target = {Conn.TIMES: Conn.WITH, Conn.PAR: Conn.PLUS}.get(conn, conn)
-            return Binary(target, classical_collapse(left), classical_collapse(right))
-    raise TypeError(f"not a formula: {f!r}")
+    """Map into the structural fragment: rewrite each @/$ node by its
+    definition, then * -> & and par -> |.  So @ becomes (A|B)&(~A|~B) and $
+    becomes (A&B)|(~A&~B); non-qubit @/$ operands raise :class:`ShapeError`."""
+    return fold(
+        expand_connectives(f),
+        lambda lit: lit,
+        lambda g, l, r: Binary(_COLLAPSE.get(g.conn, g.conn), l, r),
+    )

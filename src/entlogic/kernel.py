@@ -23,6 +23,7 @@ from .formulas import (
     Conn,
     Formula,
     dual,
+    fold,
     is_literal,
     size as formula_size,
     sort_key,
@@ -56,10 +57,10 @@ class Sequent:
         return self.antecedent if which == LEFT else self.succedent
 
     def contains_conn(self, *conns: Conn) -> bool:
-        def has(f: Formula) -> bool:
-            return isinstance(f, Binary) and (f.conn in conns or has(f.left) or has(f.right))
+        def node(f: Binary, left: bool, right: bool) -> bool:
+            return f.conn in conns or left or right
 
-        return any(has(f) for f in self.antecedent + self.succedent)
+        return any(fold(f, lambda _: False, node) for f in self.antecedent + self.succedent)
 
     def __str__(self) -> str:
         from .syntax import print_sequent
@@ -205,7 +206,14 @@ def _can_be_principal(rule: Rule, f: Formula) -> bool:
 AT_PRIMITIVE = "primitive"
 AT_EXPAND = "expand"
 
-PRESETS = ("basic", "linear", "classical")
+# preset name -> (weakening, contraction, allow_ent)
+_PRESETS = {
+    "basic": (False, False, True),
+    "linear": (False, False, False),
+    "classical": (True, True, True),
+}
+_PRESET_OF = {flags: name for name, flags in _PRESETS.items()}
+PRESETS = tuple(_PRESETS)
 
 
 @dataclass(frozen=True)
@@ -214,7 +222,6 @@ class LogicConfig:
     contraction: bool = False
     at_mode: str = AT_EXPAND
     allow_ent: bool = True
-    preset_name: Optional[str] = None
 
     def __post_init__(self):
         if self.at_mode not in (AT_PRIMITIVE, AT_EXPAND):
@@ -222,13 +229,10 @@ class LogicConfig:
 
     @classmethod
     def preset(cls, name: str, at_mode: str = AT_EXPAND) -> "LogicConfig":
-        if name == "basic":
-            return cls(False, False, at_mode, True, "basic")
-        if name == "linear":
-            return cls(False, False, at_mode, False, "linear")
-        if name == "classical":
-            return cls(True, True, at_mode, True, "classical")
-        raise ValueError(f"unknown preset: {name!r}")
+        if name not in _PRESETS:
+            raise ValueError(f"unknown preset: {name!r}")
+        weakening, contraction, allow_ent = _PRESETS[name]
+        return cls(weakening, contraction, at_mode, allow_ent)
 
     def rule_enabled(self, rule: str) -> bool:
         row = RULES[rule]
@@ -239,12 +243,12 @@ class LogicConfig:
         return self.allow_ent or row.conn not in (Conn.ENT, Conn.SEC)
 
     def describe(self) -> str:
-        if self.preset_name:
-            return self.preset_name
-        parts = []
-        parts.append("weakening" if self.weakening else "no-weakening")
-        parts.append("contraction" if self.contraction else "no-contraction")
-        return "+".join(parts)
+        """The name of the preset with these rules, else the structural rules."""
+        name = _PRESET_OF.get((self.weakening, self.contraction, self.allow_ent))
+        if name:
+            return name
+        weakening = "weakening" if self.weakening else "no-weakening"
+        return weakening + ("+contraction" if self.contraction else "+no-contraction")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ shortened past it, and the budget already bounds every branch.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -67,7 +66,6 @@ class SearchLimits:
 class SearchStats:
     nodes_expanded: int
     max_depth: int
-    elapsed_ms: float
     # deterministic work counters: rule instances enumerated, answers taken
     # from a memo table, and branches cut by the depth or height budget
     instances: int = 0
@@ -208,10 +206,8 @@ class _Search:
             self.fail_at[seq] = budget
         return None
 
-    def stats(self, elapsed_ms: float) -> SearchStats:
-        return SearchStats(
-            self.nodes, self.deepest, elapsed_ms, self.instances, self.memo_hits, self.cuts
-        )
+    def stats(self) -> SearchStats:
+        return SearchStats(self.nodes, self.deepest, self.instances, self.memo_hits, self.cuts)
 
 
 def prove(s: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits] = None) -> SearchResult:
@@ -226,16 +222,14 @@ def prove(s: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits] = None) -
         raise GoalRejectedError(f"configuration {cfg.describe()!r} rejects goals containing @/$")
     goal = expand_sequent(s) if cfg.at_mode == AT_EXPAND else s
 
-    start = time.perf_counter()
     tree: Optional[ProofTree] = None
     engine = _Search(cfg, limits)
     try:
         tree, limit_hit = engine.run(goal)
     except _Limit as cut:
         limit_hit = cut.which
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
 
-    stats = engine.stats(elapsed_ms)
+    stats = engine.stats()
     if tree is not None:
         verdict_check = check_proof(tree, cfg)
         if not verdict_check:
@@ -360,10 +354,6 @@ def decide_idempotence(
 def _decide_idempotence_cached(
     conn: Conn, cfg: LogicConfig, limits: Optional[SearchLimits]
 ) -> IdempotenceReport:
-    if conn in (Conn.ENT, Conn.SEC) and not cfg.allow_ent:
-        raise GoalRejectedError(
-            f"configuration {cfg.describe()!r} rejects goals containing @/$"
-        )
     compound, single = _idempotence_pair(conn)
     eq = decide_equivalence(compound, single, cfg, limits)
     idempotent: Optional[bool]

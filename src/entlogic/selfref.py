@@ -107,17 +107,24 @@ def self_compose(connective: Union[Conn, str], s0: Formula) -> Binary:
     return Binary(conn, s0, s0)
 
 
-def fixed_point_check(
-    connective: Union[Conn, str], cfg: LogicConfig, limits: Optional[SearchLimits] = None
-) -> bool:
-    """Does duplication have a fixed point, i.e. is the connective idempotent?"""
+def _decided_idempotence(
+    connective: Union[Conn, str], cfg: LogicConfig, limits: Optional[SearchLimits]
+) -> IdempotenceReport:
+    """The idempotence report, which a search limit must not have left open."""
     report = decide_idempotence(connective, cfg, limits)
     if report.idempotent is None:
         raise AnalyzerError(
             f"idempotence of {report.connective} under {cfg.describe()} is indeterminate "
-            f"(search limit hit); refusing to default"
+            "(a search limit was hit)"
         )
-    return report.idempotent
+    return report
+
+
+def fixed_point_check(
+    connective: Union[Conn, str], cfg: LogicConfig, limits: Optional[SearchLimits] = None
+) -> bool:
+    """Does duplication have a fixed point, i.e. is the connective idempotent?"""
+    return _decided_idempotence(connective, cfg, limits).idempotent
 
 
 @dataclass(frozen=True)
@@ -247,70 +254,56 @@ COMPOSITION_FOOTNOTE = (
 
 @dataclass(frozen=True)
 class SelfRefReport:
-    connective: str
-    logic: str
-    idempotent: bool
-    has_fixed_point: bool
-    physical_link: str
+    """The classification of one connective under one configuration.  All of
+    it derives from two decided facts, idempotence and the clonability of the
+    physical link, so the report cannot contradict itself."""
+
+    idempotence: IdempotenceReport  # decided: ``idempotent`` is not None
     basis_clonable: bool
-    classification: str
-    liar_outcome: str
-    liar: LiarOutcome
-    idempotence: IdempotenceReport
     footnote: str = COMPOSITION_FOOTNOTE
 
-    def __post_init__(self):
-        if self.has_fixed_point != self.idempotent:
-            raise AnalyzerError("fixed point flag must equal idempotence")
-        expected = _classify(self.idempotent, self.basis_clonable)
-        if self.classification != expected:
-            raise AnalyzerError(
-                f"classification {self.classification} inconsistent with "
-                f"idempotent={self.idempotent}, clonable={self.basis_clonable}"
-            )
-        paradox = self.classification != CLASS_GENERALIZED
-        if (self.liar_outcome == OUTCOME_PARADOX) != paradox:
-            raise AnalyzerError("liar outcome inconsistent with classification")
+    @property
+    def connective(self) -> str:
+        return self.idempotence.connective
 
+    @property
+    def logic(self) -> str:
+        return self.idempotence.config.describe()
 
-def _classify(idempotent: bool, basis_clonable: bool) -> str:
-    if idempotent:
-        return CLASS_STANDARD
-    return CLASS_RECOVERED if basis_clonable else CLASS_GENERALIZED
+    @property
+    def idempotent(self) -> bool:
+        return self.idempotence.idempotent
+
+    has_fixed_point = idempotent  # duplication has a fixed point iff it is idempotent
+
+    @property
+    def physical_link(self) -> str:
+        return LINK_OF[Conn(self.connective)]
+
+    @property
+    def classification(self) -> str:
+        if self.idempotent:
+            return CLASS_STANDARD
+        return CLASS_RECOVERED if self.basis_clonable else CLASS_GENERALIZED
+
+    @property
+    def liar_outcome(self) -> str:
+        return OUTCOME_NO_PARADOX if self.classification == CLASS_GENERALIZED else OUTCOME_PARADOX
+
+    @property
+    def liar(self) -> LiarOutcome:
+        return _liar_from(self.idempotent, Conn(self.connective))
 
 
 def build_report(
     connective: Union[Conn, str], cfg: LogicConfig, limits: Optional[SearchLimits] = None
 ) -> SelfRefReport:
     """Full classification for one connective under one configuration."""
-    conn = _as_conn(connective)
-    idem_report = decide_idempotence(conn, cfg, limits)
-    if idem_report.idempotent is None:
-        raise AnalyzerError(
-            f"idempotence of {conn.value} under {cfg.describe()} is indeterminate"
-        )
-    idempotent = idem_report.idempotent
-    link = LINK_OF[conn]
-    if link == LINK_NONE:
-        # no physical counterpart constrains duplication
-        basis_clonable = True
-    else:
-        basis_clonable = sufficient_condition_check(link).basis_clonable
-    classification = _classify(idempotent, basis_clonable)
-    liar = _liar_from(idempotent, conn)
-    outcome = OUTCOME_NO_PARADOX if classification == CLASS_GENERALIZED else OUTCOME_PARADOX
-    return SelfRefReport(
-        connective=conn.value,
-        logic=cfg.describe(),
-        idempotent=idempotent,
-        has_fixed_point=idempotent,
-        physical_link=link,
-        basis_clonable=basis_clonable,
-        classification=classification,
-        liar_outcome=outcome,
-        liar=liar,
-        idempotence=idem_report,
-    )
+    idempotence = _decided_idempotence(connective, cfg, limits)
+    link = LINK_OF[Conn(idempotence.connective)]
+    # no physical counterpart constrains duplication when there is no link
+    clonable = link == LINK_NONE or sufficient_condition_check(link).basis_clonable
+    return SelfRefReport(idempotence, clonable)
 
 
 # ---------------------------------------------------------------------------

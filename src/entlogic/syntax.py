@@ -27,7 +27,6 @@ from .formulas import (
     NegAtom,
     PosAtom,
     dual,
-    is_literal,
     is_qubit_shaped,
     qubit_of,
 )
@@ -249,58 +248,63 @@ def _is_q_sugar(f: Formula) -> bool:
     )
 
 
-def _operand_text(f: Formula) -> str:
-    if is_literal(f) or _is_q_sugar(f):
-        return print_formula(f)
-    return f"({print_formula(f)})"
+def _render(f: Formula, negated: str, q_sugar: str, conn_text: dict, opening: str, closing: str) -> str:
+    """Print ``f`` token by token from an explicit stack of pending parts.
+
+    ``negated`` and ``q_sugar`` format an atom name, ``conn_text`` maps each
+    connective to its infix text, and an operand other than a literal or
+    ``Q(..)`` goes between ``opening`` and ``closing``.  Tokens are joined
+    once at the end, so time and memory grow with the output, at any depth.
+    """
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        x = stack.pop()
+        kind = type(x)
+        if kind is str:
+            out.append(x)
+        elif kind is PosAtom:
+            out.append(x.name)
+        elif kind is NegAtom:
+            out.append(negated.format(x.name))
+        elif _is_q_sugar(x):
+            out.append(q_sugar.format(x.left.name))
+        else:  # pushed in reverse: left operand, connective, right operand
+            for part in (x.right, conn_text[x.conn], x.left):
+                if type(part) is Binary and not _is_q_sugar(part):
+                    stack += (closing, part, opening)
+                else:
+                    stack.append(part)
+    return "".join(out)
+
+
+_TEXT = ("~{}", "Q({})", {c: f" {c.value} " for c in Conn}, "(", ")")
 
 
 def print_formula(f: Formula) -> str:
     """Canonical text; ``parse_formula(print_formula(f))`` rebuilds ``f``."""
-    if isinstance(f, PosAtom):
-        return f.name
-    if isinstance(f, NegAtom):
-        return "~" + f.name
-    if _is_q_sugar(f):
-        return f"Q({f.left.name})"
-    return f"{_operand_text(f.left)} {f.conn.value} {_operand_text(f.right)}"
+    return _render(f, *_TEXT)
 
 
 def print_sequent(s: "kernel.Sequent") -> str:
     left = ", ".join(print_formula(f) for f in s.antecedent)
     right = ", ".join(print_formula(f) for f in s.succedent)
-    out = "|-"
-    if left:
-        out = left + " " + out
-    if right:
-        out = out + " " + right
-    return out
+    return f"{left} |- {right}".strip()
 
 
 _LATEX_CONN = {
-    Conn.WITH: r"\mathbin{\&}",
-    Conn.PLUS: r"\vee",
-    Conn.TIMES: r"\otimes",
-    Conn.PAR: r"\wp",
-    Conn.ENT: r"\mathbin{@}",
-    Conn.SEC: r"\mathbin{\S}",
+    Conn.WITH: r" \mathbin{\&} ",
+    Conn.PLUS: r" \vee ",
+    Conn.TIMES: r" \otimes ",
+    Conn.PAR: r" \wp ",
+    Conn.ENT: r" \mathbin{@} ",
+    Conn.SEC: r" \mathbin{\S} ",
 }
+_LATEX = (r"{}^{{\perp}}", "Q_{{{}}}", _LATEX_CONN, r"\left(", r"\right)")
 
 
 def formula_to_latex(f: Formula) -> str:
-    if isinstance(f, PosAtom):
-        return f.name
-    if isinstance(f, NegAtom):
-        return f.name + r"^{\perp}"
-    if _is_q_sugar(f):
-        return f"Q_{{{f.left.name}}}"
-
-    def operand(x: Formula) -> str:
-        if is_literal(x) or _is_q_sugar(x):
-            return formula_to_latex(x)
-        return r"\left(" + formula_to_latex(x) + r"\right)"
-
-    return f"{operand(f.left)} {_LATEX_CONN[f.conn]} {operand(f.right)}"
+    return _render(f, *_LATEX)
 
 
 def sequent_to_latex(s: "kernel.Sequent") -> str:

@@ -244,17 +244,29 @@ def test_internal_error_exits_70_without_a_verdict(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [("selfref", "@", "--logic", "classical"), ("report-matrix",)])
+def test_analysis_left_open_by_a_limit_exits_2(capsys, argv):
+    # an indeterminate idempotence verdict is a search limit, not a crash (70)
+    code, out, err = run(capsys, *argv, "--max-depth", "2", "--max-nodes", "40")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("unknown: ") and "indeterminate" in err
+    assert err.count("\n") == 1
+
+
 def test_deeply_nested_goal_proves_with_checked_proof():
-    # 400 levels of parentheses: the parser must not grow the Python stack
-    text = "A"
-    for _ in range(399):
-        text = f"({text} & A)"
-    proc = python("-m", "entlogic", "prove", text + " |- A", "--format", "json")
-    assert proc.returncode == 0, proc.stderr
-    payload = json.loads(proc.stdout)
-    assert payload["verdict"] == "provable"
-    tree = proof_from_json(json.dumps(payload["proof"]))
-    assert check_proof(tree, LogicConfig.preset("basic"))
+    # 5,000 levels is far beyond the interpreter's recursion limit: the
+    # parser and the formula walkers must not grow the Python stack
+    for depth in (400, 5000):
+        text = "A"
+        for _ in range(depth - 1):
+            text = f"({text} & A)"
+        proc = python("-m", "entlogic", "prove", text + " |- A", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["verdict"] == "provable"
+        tree = proof_from_json(json.dumps(payload["proof"]))
+        assert check_proof(tree, LogicConfig.preset("basic"))
 
 
 def test_cli_import_does_not_load_numpy():

@@ -27,7 +27,7 @@ from entlogic.formulas import (
     size,
 )
 from entlogic import formulas as formulas_module
-from entlogic.syntax import parse_formula
+from entlogic.syntax import parse_formula, print_formula
 from strategies import formulas
 
 
@@ -187,6 +187,17 @@ def test_parsing_twice_gives_the_same_object():
 @given(formulas())
 def test_dual_of_dual_is_the_same_object(f):
     assert dual(dual(f)) is f
+
+
+def test_walkers_keep_their_own_stack_on_deep_formulas():
+    # far deeper than the interpreter's recursion limit
+    f = A
+    for _ in range(10_000):
+        f = Binary(Conn.WITH, f, A)
+    assert dual(dual(f)) is f
+    assert size(f) == 20_001
+    assert classical_collapse(f) is f
+    assert parse_formula(print_formula(f)) is f
 
 
 def test_expansion_without_ent_or_sec_is_the_same_object():

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 from entlogic.formulas import NegAtom, PosAtom
 from entlogic.kernel import (
+    PRESETS,
     LogicConfig,
     ProofTree,
     RuleInstance,
@@ -165,6 +166,9 @@ def test_logic_config_presets():
     assert not basic.weakening and not basic.contraction and basic.allow_ent
     assert not linear.allow_ent
     assert classical.weakening and classical.contraction
+    for name in PRESETS:
+        assert LogicConfig.preset(name, at_mode="primitive").describe() == name
+    assert LogicConfig(weakening=True).describe() == "weakening+no-contraction"
     with pytest.raises(ValueError):
         LogicConfig.preset("fuzzy")
     with pytest.raises(ValueError):
