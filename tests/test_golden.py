@@ -5,11 +5,14 @@ derivation followed by its mechanical dual, separated by blank lines; the 28
 trees use all 19 rules.  The enumeration pins fix the rule-name sequence that
 ``rule_instances`` returns for one small sequent per rule kind.
 ``golden_search.txt`` pins what ``prove`` returns (verdict, limit, node count,
-depth reached and the text proof) on a fixed goal set under five
-configurations, plus one depth-limited sequence that shares the memo across
-calls.  ``golden_formulas.txt`` pins the formula maps and printers on every
-formula of those goals and of the idempotence tests (text, LaTeX, dual,
-size, ``@``/``$`` expansion and classical collapse, or the ``ShapeError`` they
+depth reached, the ``instances``, ``memo_hits`` and ``cuts`` work counters and
+the text proof) on a fixed goal set under five configurations, plus one
+depth-limited sequence that shares the memo across calls.  The counters pin
+the work done, not only its outcome, so a change to the search loop that
+keeps every verdict but visits sequents in another order shows here.
+``golden_formulas.txt`` pins the formula maps and printers on every formula
+of those goals and of the idempotence tests (text, LaTeX, dual, size,
+``@``/``$`` expansion and classical collapse, or the ``ShapeError`` they
 raise), then the LaTeX rendering of the golden derivations and their duals.
 After a deliberate change of behaviour, regenerate both with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -100,7 +103,8 @@ def _entry(label, goal, result) -> str:
     s = result.stats
     head = [
         f"== {label} | {print_sequent(goal)}",
-        f"{result.verdict} limit={result.limit_hit} nodes={s.nodes_expanded} depth={s.max_depth}",
+        f"{result.verdict} limit={result.limit_hit} nodes={s.nodes_expanded} depth={s.max_depth}"
+        f" instances={s.instances} memo_hits={s.memo_hits} cuts={s.cuts}",
     ]
     return "\n".join(head + ([print_proof(result.proof, "text")] if result.proof else []))
 
