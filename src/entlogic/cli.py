@@ -42,6 +42,7 @@ from .syntax import (
     print_formula,
     print_proof,
     print_sequent,
+    proof_to_dict,
 )
 from . import quantum
 
@@ -170,7 +171,7 @@ def _cmd_prove(args) -> int:
             "at_mode": args.at_mode,
             "verdict": result.verdict,
             "limit_hit": result.limit_hit,
-            "proof": json.loads(print_proof(result.proof, "json")) if result.proof else None,
+            "proof": proof_to_dict(result.proof) if result.proof else None,
             "nodes_expanded": result.stats.nodes_expanded,
         }
         if comparison:

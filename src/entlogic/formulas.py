@@ -78,7 +78,8 @@ def _intern(cls, fields: tuple, sort_key: tuple):
 class _Term:
     """What the interned formula classes share: immutable fields, the
     dataclass-style ``repr``, and pickling and copying through the
-    constructor.  Equality and hashing stay ``object``'s (identity)."""
+    constructors, none of which recurses.  Equality and hashing stay
+    ``object``'s (identity)."""
 
     __slots__ = ("sort_key", "__weakref__")
 
@@ -89,11 +90,38 @@ class _Term:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+        # the distinct subterms in post-order, operands named by their row
+        rows: list = []
+
+        def row(*fields) -> int:
+            rows.append(fields)
+            return len(rows) - 1
+
+        fold(self, lambda lit: row(type(lit), lit.name), lambda g, l, r: row(Binary, g.conn, l, r))
+        return _rebuild, (tuple(rows),)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
+        out: list[str] = []
+        stack: list = [self]
+        while stack:  # pending text and terms, the next one on top
+            x = stack.pop()
+            if isinstance(x, str):
+                out.append(x)
+            elif isinstance(x, Binary):
+                stack += ")", x.right, ", right=", x.left, f"Binary(conn={x.conn!r}, left="
+            else:
+                out.append(f"{type(x).__qualname__}(name={x.name!r})")
+        return "".join(out)
+
+
+def _rebuild(rows: tuple) -> "Formula":
+    """The term a ``__reduce__`` table describes, through the constructors."""
+    built: list = []
+    for cls, *fields in rows:
+        if cls is Binary:
+            fields[1:] = built[fields[1]], built[fields[2]]
+        built.append(cls(*fields))
+    return built[-1]
 
 
 class PosAtom(_Term):

@@ -14,7 +14,8 @@ and rule gating all read those rows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .formulas import (
@@ -267,23 +268,51 @@ class RuleInstance:
 class ProofTree:
     node: RuleInstance
     children: tuple["ProofTree", ...] = ()
+    # nodes on the longest branch, taken from the children's when built
+    _height: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_height", 1 + max((c._height for c in self.children), default=0))
 
     @property
     def conclusion(self) -> Sequent:
         return self.node.conclusion
 
     def height(self) -> int:
-        return 1 + max((c.height() for c in self.children), default=0)
+        return self._height
 
     def iter_nodes(self) -> Iterator["ProofTree"]:
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
+        """Every node in pre-order, subtrees in premise order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack += reversed(node.children)
 
     def __str__(self) -> str:
         from .syntax import print_proof
 
         return print_proof(self, "text")
+
+
+def fold_proof(p, node, children=attrgetter("children")):
+    """Evaluate a proof tree bottom-up from an explicit stack: in post-order,
+    ``node(x, values, depth)`` gets each node with its subtrees' values in
+    premise order and its distance from the root.  ``children`` reads a
+    node's subtrees, so the fold also walks the nested dicts of the JSON form.
+    """
+    values: list = []
+    stack = [(p, 0, None)]
+    while stack:
+        x, depth, arity = stack.pop()
+        if arity is None:  # first visit: come back once the subtrees are done
+            kids = children(x)
+            stack.append((x, depth, len(kids)))
+            stack += ((c, depth + 1, None) for c in reversed(kids))
+        else:
+            start = len(values) - arity
+            values[start:] = [node(x, values[start:], depth)]
+    return values[0]
 
 
 def axiom_check(s: Sequent) -> bool:
@@ -406,33 +435,36 @@ def check_proof(p: ProofTree, cfg: LogicConfig) -> CheckResult:
     """Validate every node against the enabled rule schemas.
 
     The verdict is truthy/falsy; on failure the result carries the child-index
-    path to the first offending node and a reason.
+    path to the first offending node and a reason.  Nodes are checked in
+    pre-order, each against its parent's premise first.
     """
-
-    def walk(node: ProofTree, path: tuple[int, ...]) -> CheckResult:
-        reason = _instance_ok(node.node, cfg)
+    stack: list[tuple[ProofTree, tuple[int, ...], Optional[Sequent]]] = [(p, (), None)]
+    while stack:
+        tree, path, premise = stack.pop()
+        if premise is not None and tree.conclusion != premise:
+            return CheckResult(False, path, "child conclusion differs from premise")
+        reason = _instance_ok(tree.node, cfg)
         if reason is not None:
             return CheckResult(False, path, reason)
-        if len(node.children) != len(node.node.premises):
+        premises = tree.node.premises
+        if len(tree.children) != len(premises):
             return CheckResult(False, path, "children do not match premises")
-        for i, (child, premise) in enumerate(zip(node.children, node.node.premises)):
-            if child.node.conclusion != premise:
-                return CheckResult(False, path + (i,), "child conclusion differs from premise")
-            result = walk(child, path + (i,))
-            if not result:
-                return result
-        return CheckResult(True)
-
-    return walk(p, ())
+        for i in reversed(range(len(premises))):
+            stack.append((tree.children[i], path + (i,), premises[i]))
+    return CheckResult(True)
 
 
 def dualize_proof(p: ProofTree) -> ProofTree:
     """Mechanical dual: swap sides, dualize formulas, mirror rule labels."""
-    inst = p.node
-    dual_inst = RuleInstance(
-        rule=_DUAL_RULE[inst.rule],
-        conclusion=dual_sequent(inst.conclusion),
-        premises=tuple(dual_sequent(q) for q in inst.premises),
-        principal=dual(inst.principal) if inst.principal is not None else None,
-    )
-    return ProofTree(dual_inst, tuple(dualize_proof(c) for c in p.children))
+
+    def node(tree: ProofTree, children: list, _depth: int) -> ProofTree:
+        inst = tree.node
+        dual_inst = RuleInstance(
+            rule=_DUAL_RULE[inst.rule],
+            conclusion=dual_sequent(inst.conclusion),
+            premises=tuple(dual_sequent(q) for q in inst.premises),
+            principal=dual(inst.principal) if inst.principal is not None else None,
+        )
+        return ProofTree(dual_inst, tuple(children))
+
+    return fold_proof(p, node)

@@ -10,14 +10,16 @@ usually infinite; the rounds then deepen the budget one step at a time
 (iterative deepening), which finds a minimal-height derivation whenever one
 exists and reports Unknown when a limit binds.  Repeated sequents along a
 branch need no dedicated loop check: a proof with such a repeat can always be
-shortened past it, and the budget already bounds every branch.
+shortened past it, and the budget already bounds every branch.  The search
+keeps its own stack of suspended frames, one per open sequent, so the height
+of a proof costs heap, not Python frames.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Generator, Optional, Union
 
 from .formulas import Binary, Conn, Formula, PosAtom, dual, expand_connectives, qubit_of
 from .kernel import (
@@ -107,13 +109,12 @@ def _cfg_sig(cfg: LogicConfig) -> tuple:
     return (cfg.weakening, cfg.contraction, cfg.allow_ent)
 
 
-# A proof found with its height.
-_Found = tuple[ProofTree, int]
-# The memo tables: sequent -> the first proof found for it, with its height;
-# sequent -> the budget its search failed at (inf: failed outright).
-_Tables = tuple[dict[Sequent, _Found], dict[Sequent, float]]
+# The memo tables: sequent -> the first proof found for it (a tree knows its
+# height); sequent -> the budget its search failed at (inf: failed outright).
+_Tables = tuple[dict[Sequent, ProofTree], dict[Sequent, float]]
 
 _INF = float("inf")
+_OPEN = object()  # a memo lookup's answer when the sequent must be searched
 
 # Tables shared across calls, one pair per configuration.  Only searches
 # without contraction use them: those record outright failures only, which
@@ -134,6 +135,9 @@ class _Search:
     exists".  A failure with no cut below it means the backward search tree
     under the sequent is finite and fully swept, so it holds at every budget
     (recorded as ``inf``).  The depth a node sits at is ``round - budget + 1``.
+    ``_dfs`` is one loop over a stack of ``_expand`` generators, one per open
+    sequent: the top one either yields a premise the memo cannot answer,
+    which is pushed, or returns, and its answer is sent to the one below.
     """
 
     def __init__(self, cfg: LogicConfig, limits: SearchLimits):
@@ -156,14 +160,16 @@ class _Search:
             cuts_before = self.cuts
             found = self._dfs(goal, budget)
             if found is not None:
-                return found[0], None
+                return found, None
             if self.cuts == cuts_before:
                 return None, None
         return None, "depth"
 
-    def _dfs(self, seq: Sequent, budget: int) -> Optional[_Found]:
+    def _lookup(self, seq: Sequent, budget: int):
+        """The memo's answer for ``seq`` at ``budget``: a proof, None for a
+        failure, or ``_OPEN`` when the sequent has to be searched."""
         cached = self.success.get(seq)
-        if cached is not None and cached[1] <= budget:
+        if cached is not None and cached.height() <= budget:
             self.memo_hits += 1
             return cached
         failed_at = self.fail_at.get(seq)
@@ -175,6 +181,29 @@ class _Search:
         if budget == 0:
             self.cuts += 1
             return None
+        return _OPEN
+
+    def _dfs(self, goal: Sequent, budget: int) -> Optional[ProofTree]:
+        answer = self._lookup(goal, budget)
+        if answer is not _OPEN:
+            return answer
+        stack, answer = [self._expand(goal, budget)], None
+        while stack:
+            try:
+                stack.append(self._expand(*stack[-1].send(answer)))
+                answer = None
+            except StopIteration as done:
+                stack.pop()
+                answer = done.value
+        return answer
+
+    def _expand(
+        self, seq: Sequent, budget: int
+    ) -> Generator[tuple[Sequent, int], Optional[ProofTree], Optional[ProofTree]]:
+        """One frame of :meth:`_dfs`: the sequent, its budget, its instances,
+        the one being tried with its premises' proofs so far, and the cut
+        count on entry.  It yields each premise the memo cannot answer and is
+        sent back that premise's proof, or None."""
         self.nodes += 1
         if self.nodes > self.limits.max_nodes:
             raise _Limit("nodes")
@@ -189,15 +218,15 @@ class _Search:
                     self.cuts += 1
                     continue
             children: list[ProofTree] = []
-            height = 0
             for premise in inst.premises:
-                sub = self._dfs(premise, budget - 1)
+                sub = self._lookup(premise, budget - 1)
+                if sub is _OPEN:
+                    sub = yield premise, budget - 1
                 if sub is None:
                     break
-                children.append(sub[0])
-                height = max(height, sub[1])
+                children.append(sub)
             else:
-                found = ProofTree(inst, tuple(children)), height + 1
+                found = ProofTree(inst, tuple(children))
                 self.success.setdefault(seq, found)  # a stored proof that did not fit stays
                 return found
         if self.cuts == cuts_before:

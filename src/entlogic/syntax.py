@@ -318,23 +318,23 @@ def _latex_label(rule: str) -> str:
 
 
 def proof_to_dict(p: "kernel.ProofTree") -> dict:
-    return {
-        "sequent": print_sequent(p.node.conclusion),
-        "rule": p.node.rule,
-        "premises": [proof_to_dict(c) for c in p.children],
-    }
+    def node(tree: "kernel.ProofTree", premises: list, _depth: int) -> dict:
+        return {"sequent": print_sequent(tree.conclusion), "rule": tree.node.rule, "premises": premises}
+
+    return kernel.fold_proof(p, node)
 
 
 def proof_from_dict(d: dict) -> "kernel.ProofTree":
-    children = tuple(proof_from_dict(c) for c in d.get("premises", []))
-    conclusion = parse_sequent(d["sequent"])
-    inst = kernel.RuleInstance(
-        rule=d["rule"],
-        conclusion=conclusion,
-        premises=tuple(c.node.conclusion for c in children),
-        principal=None,
-    )
-    return kernel.ProofTree(inst, children)
+    def node(d: dict, children: list, _depth: int) -> "kernel.ProofTree":
+        inst = kernel.RuleInstance(
+            rule=d["rule"],
+            conclusion=parse_sequent(d["sequent"]),
+            premises=tuple(c.conclusion for c in children),
+            principal=None,
+        )
+        return kernel.ProofTree(inst, tuple(children))
+
+    return kernel.fold_proof(d, node, lambda d: d.get("premises", []))
 
 
 def proof_from_json(text: str) -> "kernel.ProofTree":
@@ -346,26 +346,22 @@ def print_proof(p: "kernel.ProofTree", format: str = "text") -> str:
     if format == "text":
         lines: list[str] = []
 
-        def walk(node: "kernel.ProofTree", depth: int) -> None:
-            for child in node.children:
-                walk(child, depth + 1)
-            lines.append("  " * depth + f"{print_sequent(node.node.conclusion)}   [{node.node.rule}]")
+        def line(tree: "kernel.ProofTree", _children: list, depth: int) -> None:
+            lines.append("  " * depth + f"{print_sequent(tree.conclusion)}   [{tree.node.rule}]")
 
-        walk(p, 0)
+        kernel.fold_proof(p, line)
         return "\n".join(lines)
     if format == "latex":
         lines = [r"\begin{prooftree}"]
 
-        def emit(node: "kernel.ProofTree") -> None:
-            for child in node.children:
-                emit(child)
-            if not node.children:
+        def emit(tree: "kernel.ProofTree", _children: list, _depth: int) -> None:
+            if not tree.children:
                 lines.append(r"\AxiomC{}")
-            lines.append(rf"\RightLabel{{$\mathit{{{_latex_label(node.node.rule)}}}$}}")
-            infc = {0: "Unary", 1: "Unary", 2: "Binary"}[len(node.children)]
-            lines.append(rf"\{infc}InfC{{${sequent_to_latex(node.node.conclusion)}$}}")
+            lines.append(rf"\RightLabel{{$\mathit{{{_latex_label(tree.node.rule)}}}$}}")
+            infc = {0: "Unary", 1: "Unary", 2: "Binary"}[len(tree.children)]
+            lines.append(rf"\{infc}InfC{{${sequent_to_latex(tree.conclusion)}$}}")
 
-        emit(p)
+        kernel.fold_proof(p, emit)
         lines.append(r"\end{prooftree}")
         return "\n".join(lines)
     if format == "json":

@@ -229,15 +229,36 @@ def test_positional_match_patterns_bind():
             pytest.fail("positional pattern did not match")
 
 
+def _deep(depth: int):
+    f = A
+    for _ in range(depth):
+        f = Binary(Conn.WITH, f, NB)
+    return f
+
+
 def test_repr_is_the_dataclass_repr():
     assert repr(A) == "PosAtom(name='A')"
     assert repr(NB) == "NegAtom(name='B')"
     assert repr(Binary(Conn.WITH, A, NB)) == (
         "Binary(conn=<Conn.WITH: '&'>, left=PosAtom(name='A'), right=NegAtom(name='B'))"
     )
+    # 2,000 levels is beyond the interpreter's recursion limit
+    expected = "PosAtom(name='A')"
+    for _ in range(2000):
+        expected = f"Binary(conn=<Conn.WITH: '&'>, left={expected}, right=NegAtom(name='B'))"
+    assert repr(_deep(2000)) == expected
 
 
-@pytest.mark.parametrize("f", [A, NA, Binary(Conn.PAR, qubit_of("A"), Binary(Conn.TIMES, B, NB))])
+@pytest.mark.parametrize(
+    "f",
+    [
+        A,
+        NA,
+        Binary(Conn.PAR, qubit_of("A"), Binary(Conn.TIMES, B, NB)),
+        Binary(Conn.ENT, A, qubit_of("B")),  # @ over a non-qubit operand: no parser round trip
+        _deep(2000),
+    ],
+)
 def test_pickle_and_copy_return_the_identical_object(f):
     assert pickle.loads(pickle.dumps(f)) is f
     assert copy.copy(f) is f

@@ -15,7 +15,7 @@ from entlogic.kernel import (
     rule_instances,
 )
 from entlogic.search import prove
-from entlogic.syntax import parse_formula, parse_sequent
+from entlogic.syntax import parse_formula, parse_sequent, print_proof, proof_from_dict, proof_to_dict
 from strategies import sequents
 
 from conftest import BASIC, CLASSICAL
@@ -173,3 +173,22 @@ def test_logic_config_presets():
         LogicConfig.preset("fuzzy")
     with pytest.raises(ValueError):
         LogicConfig(at_mode="lazy")
+
+
+def test_proof_walkers_keep_their_own_stack_on_a_tall_proof():
+    # A |- A by contr-L and weak-L in turn above an axiom, 5,001 nodes tall:
+    # far beyond the interpreter's recursion limit, and no step goes through
+    # the json module, which itself recurses per nesting level
+    one, two = Sequent.of((A,), (A,)), Sequent.of((A, A), (A,))
+    weaken, contract = RuleInstance("weak-L", two, (one,), A), RuleInstance("contr-L", one, (two,), A)
+    tree = ProofTree(RuleInstance("axiom", one, (), A))
+    for i in range(5000):
+        tree = ProofTree(contract if i % 2 else weaken, (tree,))
+    assert tree.conclusion == one and tree.node.rule == "contr-L"
+    assert check_proof(tree, CLASSICAL)
+    assert tree.height() == 5001
+    assert sum(1 for _ in tree.iter_nodes()) == 5001
+    assert check_proof(dualize_proof(tree), CLASSICAL)
+    assert len(print_proof(tree, "text").splitlines()) == 5001
+    assert len(print_proof(tree, "latex").splitlines()) == 10005
+    assert check_proof(proof_from_dict(proof_to_dict(tree)), CLASSICAL)
