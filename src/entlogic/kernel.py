@@ -308,7 +308,8 @@ def fold_proof(p, node, children=attrgetter("children")):
         if arity is None:  # first visit: come back once the subtrees are done
             kids = children(x)
             stack.append((x, depth, len(kids)))
-            stack += ((c, depth + 1, None) for c in reversed(kids))
+            for c in reversed(kids):
+                stack.append((c, depth + 1, None))
         else:
             start = len(values) - arity
             values[start:] = [node(x, values[start:], depth)]
