@@ -119,7 +119,8 @@ def _rebuild(rows: tuple) -> "Formula":
     built: list = []
     for cls, *fields in rows:
         if cls is Binary:
-            fields[1:] = built[fields[1]], built[fields[2]]
+            conn, left, right = fields
+            fields = conn, built[left], built[right]
         built.append(cls(*fields))
     return built[-1]
 
