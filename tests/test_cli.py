@@ -282,6 +282,7 @@ def test_proof_taller_than_the_recursion_limit_prints():
         assert proc.returncode == 0, proc.stderr
         out = proc.stdout.splitlines()
         assert out[0] == "Provable" and len(out) == lines
+    # the LaTeX tree starts at the axiom and ends on the 2,000-deep goal
     assert out[2] == r"\AxiomC{}" and out[-2].startswith(r"\UnaryInfC{$\left(")
 
 
