@@ -11,7 +11,6 @@ All state comes from argv; identical invocations print identical bytes
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -43,6 +42,7 @@ from .syntax import (
     print_proof,
     print_sequent,
     proof_to_dict,
+    to_json,
 )
 from . import quantum
 
@@ -180,7 +180,7 @@ def _cmd_prove(args) -> int:
                 "verdict": comparison[1].verdict,
                 "agree": comparison[1].verdict == result.verdict,
             }
-        _emit(json.dumps(payload, indent=2, sort_keys=True))
+        _emit(to_json(payload))
     else:
         _emit(_verdict_message(result))
         if result.proof is not None:
@@ -200,13 +200,8 @@ def _cmd_expand(args) -> int:
     f = parse_formula(args.formula)
     expanded = expand_connectives(f)
     if args.format == "json":
-        _emit(
-            json.dumps(
-                {"command": "expand", "input": print_formula(f), "expanded": print_formula(expanded)},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        payload = {"command": "expand", "input": print_formula(f), "expanded": print_formula(expanded)}
+        _emit(to_json(payload))
     elif args.format == "latex":
         _emit(formula_to_latex(expanded))
     else:
@@ -237,7 +232,7 @@ def _cmd_idempotence(args) -> int:
                 bwd: {"verdict": report.backward.verdict, "rescued_by": list(report.backward_rescue)},
             },
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True))
+        _emit(to_json(payload))
     else:
         idem = {True: "yes", False: "no", None: "indeterminate"}[report.idempotent]
         _emit(f"connective: {token}")
@@ -258,7 +253,7 @@ def _cmd_selfref(args) -> int:
     token = _check_connective(args.connective)
     report = build_report(token, _config(args), _limits(args))
     if args.format == "json":
-        _emit(json.dumps({"command": "selfref", **report_to_dict(report)}, indent=2, sort_keys=True))
+        _emit(to_json({"command": "selfref", **report_to_dict(report)}))
     else:
         d = report_to_dict(report)
         for key in (
@@ -281,7 +276,7 @@ def _cmd_selfref(args) -> int:
 def _cmd_report_matrix(args) -> int:
     rows = report_matrix(at_mode=args.at_mode, limits=_limits(args))
     if args.format == "json":
-        _emit(json.dumps([matrix_row_to_dict(r) for r in rows], indent=2, sort_keys=True))
+        _emit(to_json([matrix_row_to_dict(r) for r in rows]))
     else:
         _emit(matrix_to_text(rows))
     return EX_OK
@@ -336,7 +331,7 @@ def _cmd_quantum(args) -> int:
                 "fidelity_with_intended": round(outcome.fidelity_with_intended, 12),
                 "produced_separable": quantum.is_separable(outcome.produced),
             }
-            _emit(json.dumps(payload, indent=2, sort_keys=True))
+            _emit(to_json(payload))
         else:
             _emit(f"input: {_fmt_state(psi)}")
             _emit(f"produced: {_fmt_state(outcome.produced)}")
@@ -354,7 +349,7 @@ def _cmd_quantum(args) -> int:
                 "state": _fmt_state(state),
                 "separable": verdict,
             }
-            _emit(json.dumps(payload, indent=2, sort_keys=True))
+            _emit(to_json(payload))
         else:
             _emit(f"state: {_fmt_state(state)}")
             _emit(f"separable: {'true' if verdict else 'false'}")

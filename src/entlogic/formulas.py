@@ -172,16 +172,17 @@ def is_literal(f: Formula) -> bool:
     return isinstance(f, (PosAtom, NegAtom))
 
 
-def fold(f: Formula, leaf, node):
+def fold(f: Formula, leaf, node, value=None):
     """Evaluate ``f`` bottom-up: ``leaf(lit)`` at each literal and
     ``node(b, left_value, right_value)`` at each compound ``b``.
 
     The walk keeps its own stack, so nesting depth costs heap, not Python
     frames, and each distinct subterm is evaluated once, left before right.
+    ``value`` maps subterms to values already known, and the walk adds to it.
     """
     if not isinstance(f, Binary):
         return leaf(f)  # a literal needs no table
-    value: dict = {}
+    value = {} if value is None else value
     stack = [f]
     while stack:
         g = stack[-1]

@@ -14,6 +14,7 @@ and rule gating all read those rows.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -172,6 +173,9 @@ ALL_RULES = tuple(RULES)
 _STAGE = {AXIOM: 0, WEAKEN: 1, CONTRACT: 1, SPLIT: 3}
 RULE_ORDER = tuple(sorted(ALL_RULES, key=lambda name: _STAGE.get(RULES[name].kind, 2)))
 
+# The invertible rules: a provable conclusion has provable premises only.
+INVERTIBLE = frozenset(name for name, row in RULES.items() if row.kind in (BOTH, BRANCH))
+
 # The mirror image of a rule: same kind, other side, dual connective.
 _BY_SHAPE = {(r.kind, r.side, r.conn): r.name for r in RULES.values()}
 _DUAL_RULE = {
@@ -326,6 +330,21 @@ def axiom_check(s: Sequent) -> bool:
     )
 
 
+# formula -> the literals occurring in it, for as long as the formula lives
+_LITERALS: "weakref.WeakKeyDictionary[Formula, set]" = weakref.WeakKeyDictionary()
+
+
+def literal_refuted(s: Sequent) -> bool:
+    """A lone literal on one side occurs nowhere on the other: with weakening
+    and contraction off, the sequent then has no proof (CHANGES.md)."""
+    for side, other in ((s.antecedent, s.succedent), (s.succedent, s.antecedent)):
+        lone = [f for f in side if is_literal(f)]
+        seen = (fold(f, lambda lit: {lit}, lambda _f, l, r: l | r, _LITERALS) for f in other)
+        if lone and not set().union(*seen).issuperset(lone):
+            return True
+    return False
+
+
 def _split_premises(side: str, rest: tuple[Formula, ...], passive: tuple[Formula, ...], f: Binary):
     """Both premises of a context-splitting rule, for every split of the
     contexts; the antecedent split is the outer loop on either side."""
@@ -337,13 +356,13 @@ def _split_premises(side: str, rest: tuple[Formula, ...], passive: tuple[Formula
             yield Sequent(a1, s1 + (f.left,)), Sequent(a2, s2 + (f.right,))
 
 
-def rule_instances(s: Sequent, cfg: LogicConfig) -> list[RuleInstance]:
-    """Every backward-applicable instance with conclusion ``s``.
+def rule_instances(s: Sequent, cfg: LogicConfig) -> Iterator[RuleInstance]:
+    """Every backward-applicable instance with conclusion ``s``, lazily.
 
     Principal choices and, for the context-splitting rules, all multiset
-    partitions of the side contexts are enumerated in a fixed order.
+    partitions of the side contexts are generated in a fixed order, so a
+    caller that stops early never builds the instances after that point.
     """
-    out: list[RuleInstance] = []
     distinct = {LEFT: _distinct(s.antecedent), RIGHT: _distinct(s.succedent)}
     for name in RULE_ORDER:
         rule = RULES[name]
@@ -351,7 +370,7 @@ def rule_instances(s: Sequent, cfg: LogicConfig) -> list[RuleInstance]:
             continue
         if rule.kind == AXIOM:
             if axiom_check(s):
-                out.append(RuleInstance(name, s, (), s.antecedent[0]))
+                yield RuleInstance(name, s, (), s.antecedent[0])
             continue
         active, passive = s.side(rule.side), s.side(_OTHER[rule.side])
         for f in distinct[rule.side]:
@@ -360,13 +379,12 @@ def rule_instances(s: Sequent, cfg: LogicConfig) -> list[RuleInstance]:
             rest = _remove_one(active, f)
             if rule.kind == SPLIT:
                 splits = _split_premises(rule.side, rest, passive, f)
-                out.extend(RuleInstance(name, s, premises, f) for premises in splits)
+                yield from (RuleInstance(name, s, premises, f) for premises in splits)
             else:
                 premises = tuple(
                     _orient(rule.side, rest + new(f), passive) for new in _REPLACEMENTS[rule.kind]
                 )
-                out.append(RuleInstance(name, s, premises, f))
-    return out
+                yield RuleInstance(name, s, premises, f)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,16 @@ proof of height at most a budget, run over a sequence of budgets.  A round
 that cuts no branch at its budget has swept the whole space, so its failure
 is a definitive NotProvable.  With contraction disabled every rule's premises
 are strictly smaller than its conclusion, so a single round at the depth
-limit suffices.  With contraction enabled premises can grow and the space is
-usually infinite; the rounds then deepen the budget one step at a time
-(iterative deepening), which finds a minimal-height derivation whenever one
-exists and reports Unknown when a limit binds.  Repeated sequents along a
-branch need no dedicated loop check: a proof with such a repeat can always be
-shortened past it, and the budget already bounds every branch.  The search
-keeps its own stack of suspended frames, one per open sequent, so the height
-of a proof costs heap, not Python frames.
+limit suffices; a lone literal with no twin (weakening off too) or a failed
+premise of an invertible rule then settles a sequent without a sweep.  With
+contraction enabled premises can grow and the space is usually infinite; the
+rounds then deepen the budget one step at a time (iterative deepening), which
+finds a minimal-height derivation whenever one exists and reports Unknown
+when a limit binds.  Repeated sequents along a branch need no dedicated loop
+check: a proof with such a repeat can always be shortened past it, and the
+budget already bounds every branch.  The search keeps its own stack of
+suspended frames, one per open sequent, so the height of a proof costs heap,
+not Python frames.
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ from .formulas import Binary, Conn, Formula, PosAtom, dual, expand_connectives, 
 from .kernel import (
     AT_EXPAND,
     CONTRACT,
+    INVERTIBLE,
     RULES,
     LogicConfig,
     ProofTree,
     Sequent,
     check_proof,
+    literal_refuted,
     rule_instances,
 )
 
@@ -68,11 +72,14 @@ class SearchLimits:
 class SearchStats:
     nodes_expanded: int
     max_depth: int
-    # deterministic work counters: rule instances enumerated, answers taken
-    # from a memo table, and branches cut by the depth or height budget
+    # deterministic work counters: rule instances generated, answers taken
+    # from a memo table, branches cut by the depth or height budget, sequents
+    # refuted by their literals, and invertible instances committed to
     instances: int = 0
     memo_hits: int = 0
     cuts: int = 0
+    refuted: int = 0
+    committed: int = 0
 
 
 @dataclass(frozen=True)
@@ -134,10 +141,11 @@ class _Search:
     ``_dfs(seq, budget)`` decides "a proof of height at most ``budget``
     exists".  A failure with no cut below it means the backward search tree
     under the sequent is finite and fully swept, so it holds at every budget
-    (recorded as ``inf``).  The depth a node sits at is ``round - budget + 1``.
-    ``_dfs`` is one loop over a stack of ``_expand`` generators, one per open
-    sequent: the top one either yields a premise the memo cannot answer,
-    which is pushed, or returns, and its answer is sent to the one below.
+    (recorded as ``inf``), as does a failure a pruning settles.  The depth
+    a node sits at is ``round - budget + 1``.  ``_dfs`` is one loop over a
+    stack of ``_expand`` generators, one per open sequent: the top one either
+    yields a premise the memo cannot answer, which is pushed, or returns, and
+    its answer is sent to the one below.
     """
 
     def __init__(self, cfg: LogicConfig, limits: SearchLimits):
@@ -152,6 +160,10 @@ class _Search:
         self.instances = 0
         self.memo_hits = 0
         self.cuts = 0
+        self.refuted = 0
+        self.committed = 0
+        # the prunings hold in the contraction-free regimes only (CHANGES.md)
+        self.refute, self.commit = not (cfg.weakening or cfg.contraction), not cfg.contraction
 
     def run(self, goal: Sequent) -> tuple[Optional[ProofTree], Optional[str]]:
         top = self.limits.max_depth
@@ -200,18 +212,21 @@ class _Search:
     def _expand(
         self, seq: Sequent, budget: int
     ) -> Generator[tuple[Sequent, int], Optional[ProofTree], Optional[ProofTree]]:
-        """One frame of :meth:`_dfs`: the sequent, its budget, its instances,
-        the one being tried with its premises' proofs so far, and the cut
-        count on entry.  It yields each premise the memo cannot answer and is
-        sent back that premise's proof, or None."""
+        """One frame of :meth:`_dfs`: the sequent, its budget, its lazy
+        instances, the one being tried with its premises' proofs so far, and
+        the cut count on entry.  It yields each premise the memo cannot answer
+        and is sent back that premise's proof, or None."""
         self.nodes += 1
         if self.nodes > self.limits.max_nodes:
             raise _Limit("nodes")
         self.deepest = max(self.deepest, self.round - budget + 1)
-        instances = rule_instances(seq, self.cfg)
-        self.instances += len(instances)
+        if self.refute and literal_refuted(seq):
+            self.refuted += 1
+            self.fail_at[seq] = _INF
+            return None
         cuts_before = self.cuts
-        for inst in instances:
+        for inst in rule_instances(seq, self.cfg):
+            self.instances += 1
             if self.limits.max_copies is not None and RULES[inst.rule].kind == CONTRACT:
                 grown = inst.premises[0].side(RULES[inst.rule].side)
                 if grown.count(inst.principal) > self.limits.max_copies:
@@ -229,6 +244,11 @@ class _Search:
                 found = ProofTree(inst, tuple(children))
                 self.success.setdefault(seq, found)  # a stored proof that did not fit stays
                 return found
+            if self.commit and inst.rule in INVERTIBLE and self.fail_at.get(premise) == _INF:
+                # the premise has no proof at any height, so neither has seq
+                self.committed += 1
+                self.fail_at[seq] = _INF
+                return None
         if self.cuts == cuts_before:
             self.fail_at[seq] = _INF
         elif self.cfg.contraction:  # a budget-limited failure: only for this call's tables
@@ -236,7 +256,8 @@ class _Search:
         return None
 
     def stats(self) -> SearchStats:
-        return SearchStats(self.nodes, self.deepest, self.instances, self.memo_hits, self.cuts)
+        counters = (self.instances, self.memo_hits, self.cuts, self.refuted, self.committed)
+        return SearchStats(self.nodes, self.deepest, *counters)
 
 
 def prove(s: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits] = None) -> SearchResult:

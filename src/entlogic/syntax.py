@@ -341,6 +341,30 @@ def proof_from_json(text: str) -> "kernel.ProofTree":
     return proof_from_dict(json.loads(text))
 
 
+def to_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for string-keyed data, from
+    an explicit stack: the standard encoder recurses once per nesting level."""
+    out: list[str] = []
+    stack: list = [(obj, "\n")]  # pending text and (value, its line break)
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif not isinstance(x[0], (dict, list, tuple)) or not x[0]:
+            out.append(json.dumps(x[0]))
+        else:
+            value, newline = x
+            opening, closing = "{}" if isinstance(value, dict) else "[]"
+            items = sorted(value.items()) if opening == "{" else [(None, v) for v in value]
+            inner = newline + "  "
+            stack.append(newline + closing)
+            for i in reversed(range(len(items))):
+                key, v = items[i]
+                label = "" if key is None else json.dumps(key) + ": "
+                stack += (v, inner), ("," if i else opening) + inner + label
+    return "".join(out)
+
+
 def print_proof(p: "kernel.ProofTree", format: str = "text") -> str:
     """Render a proof tree as indented text, bussproofs LaTeX, or JSON."""
     if format == "text":
@@ -365,5 +389,5 @@ def print_proof(p: "kernel.ProofTree", format: str = "text") -> str:
         lines.append(r"\end{prooftree}")
         return "\n".join(lines)
     if format == "json":
-        return json.dumps(proof_to_dict(p), indent=2, sort_keys=True)
+        return to_json(proof_to_dict(p))
     raise ValueError(f"unknown proof format: {format!r}")

@@ -9,7 +9,8 @@ import pytest
 import entlogic
 from entlogic.cli import main
 from entlogic.kernel import LogicConfig, check_proof
-from entlogic.syntax import proof_from_dict, proof_from_json
+from entlogic.search import SearchLimits, clear_memo, prove
+from entlogic.syntax import parse_sequent, proof_from_dict, proof_from_json, proof_to_dict
 
 SRC = str(Path(entlogic.__file__).resolve().parents[1])
 
@@ -284,6 +285,24 @@ def test_proof_taller_than_the_recursion_limit_prints():
         assert out[0] == "Provable" and len(out) == lines
     # the LaTeX tree starts at the axiom and ends on the 2,000-deep goal
     assert out[2] == r"\AxiomC{}" and out[-2].startswith(r"\UnaryInfC{$\left(")
+    # JSON nests twice per proof level; the emitter keeps its own stack
+    proc = python("-m", "entlogic", *argv[:-1], "json")
+    assert proc.returncode == 0, proc.stderr
+    # Rebuilding the 2,001 sequents from their text parses 12 M characters,
+    # so the emitted proof is compared with the checked tree of the same
+    # search.  The standard decoder and dict comparison recurse per nesting
+    # level, so they run with room for that.
+    cfg = LogicConfig.preset("basic")
+    tree = prove(parse_sequent(text + " |- A"), cfg, SearchLimits(max_depth=3000)).proof
+    clear_memo()  # or the shared memo keeps the 2,000 chain formulas alive
+    assert tree.height() == 2001 and check_proof(tree, cfg)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        payload = json.loads(proc.stdout)
+        assert payload["verdict"] == "provable" and payload["proof"] == proof_to_dict(tree)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_cli_import_does_not_load_numpy():

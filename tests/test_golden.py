@@ -3,10 +3,10 @@
 ``golden_proofs.txt`` holds ``print_proof(tree, "text")`` for every golden
 derivation followed by its mechanical dual, separated by blank lines; the 28
 trees use all 19 rules.  The enumeration pins fix the rule-name sequence that
-``rule_instances`` returns for one small sequent per rule kind.
+``rule_instances`` generates for one small sequent per rule kind.
 ``golden_search.txt`` pins what ``prove`` returns (verdict, limit, node count,
-depth reached, the ``instances``, ``memo_hits`` and ``cuts`` work counters and
-the text proof) on a fixed goal set under five configurations, plus one
+depth reached, the ``instances``, ``memo_hits``, ``cuts``, ``refuted`` and
+``committed`` work counters and the text proof) on a fixed goal set under five configurations, plus one
 depth-limited sequence that shares the memo across calls.  The counters pin
 the work done, not only its outcome, so a change to the search loop that
 keeps every verdict but visits sequents in another order shows here.
@@ -104,7 +104,8 @@ def _entry(label, goal, result) -> str:
     head = [
         f"== {label} | {print_sequent(goal)}",
         f"{result.verdict} limit={result.limit_hit} nodes={s.nodes_expanded} depth={s.max_depth}"
-        f" instances={s.instances} memo_hits={s.memo_hits} cuts={s.cuts}",
+        f" instances={s.instances} memo_hits={s.memo_hits} cuts={s.cuts}"
+        f" refuted={s.refuted} committed={s.committed}",
     ]
     return "\n".join(head + ([print_proof(result.proof, "text")] if result.proof else []))
 

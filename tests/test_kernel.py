@@ -64,7 +64,7 @@ def test_rule_instances_structural_only_when_enabled():
 
 
 def test_rule_instances_axiom_first_splitting_last():
-    instances = rule_instances(seq("A |- A"), CLASSICAL)
+    instances = list(rule_instances(seq("A |- A"), CLASSICAL))
     assert instances[0].rule == "axiom"
     order = [i.rule for i in rule_instances(seq("A & B |- A * A"), BASIC)]
     split_rules = {"*R", "parL", "@-explrefl", "$-explrefl"}

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from entlogic.formulas import Conn, PosAtom, qubit_of
-from entlogic.kernel import LogicConfig, check_proof
+from entlogic.kernel import LogicConfig, check_proof, literal_refuted, rule_instances
 from entlogic.search import (
     GoalRejectedError,
     SearchLimits,
@@ -294,3 +294,73 @@ def test_weakening_only_is_terminating_and_definitive():
     assert result.is_provable
     result = prove(seq("A par A |- A"), WEAK_ONLY)
     assert result.is_not_provable
+
+
+# ---------------------------------------------------------------------------
+# prunings: literal refutation and the invertible-rule commit
+
+
+@settings(max_examples=400, deadline=None)
+@given(sequents(max_per_side=3, max_depth=1))
+def test_literal_refutation_agrees_with_oracle(s):
+    # the premises one step up include many provable sequents whose lone
+    # literal meets its twin only inside a compound formula
+    for goal in [s] + [p for inst in rule_instances(s, BASIC) for p in inst.premises]:
+        if literal_refuted(goal):
+            assert not oracle.provable(goal)
+
+
+def test_literal_refutation_is_not_literal_counting():
+    # A & B |- A drops B at &L1: a lone literal must occur, not be matched
+    assert not literal_refuted(seq("A & B |- A"))
+    assert prove(seq("A & B |- A"), BASIC).is_provable
+    assert literal_refuted(seq("A & B |- C"))
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+def test_wide_context_is_refuted_at_the_root(k):
+    # the parent enumerated 2^(k+2) splits here; no Ci can meet an axiom
+    clear_memo()
+    goal = seq("A par B, " + ", ".join(f"C{i}" for i in range(k)) + " |- D, E")
+    result = prove(goal, BASIC)
+    assert result.is_not_provable
+    assert (result.stats.nodes_expanded, result.stats.instances, result.stats.refuted) == (1, 0, 1)
+
+
+HEAVY = (
+    "((~A & A) @ (~B | B)) * (~A par ~B), (A | ~A) @ (~A & A)"
+    " |- (Q(A) @ (~B | B)) par ((~B | B) @ (~A & A)), (~B & B) $ (~B & B)"
+)
+
+
+@pytest.mark.parametrize("cfg, parent_nodes", [(BASIC, 28_075), (BASIC_EXPAND, 12_031)])
+def test_heavy_goal_prunes_below_the_exhaustive_search(cfg, parent_nodes):
+    # the slowest oracle-test goal of hypothesis seed 2; parent_nodes is what
+    # the search expanded before the prunings
+    clear_memo()
+    result = prove(seq(HEAVY), cfg)
+    assert result.is_not_provable and result.limit_hit is None
+    assert result.stats.nodes_expanded < parent_nodes
+    assert result.stats.refuted > 0 and result.stats.committed > 0
+
+
+@pytest.mark.parametrize("text", ["A |- B par A", "(A * B) & A |- A", "|- A & B, ~A par ~B"])
+def test_invertible_commit_keeps_the_oracle_verdict(text):
+    # parR, *L and &R each commit when a premise is refuted: the conclusion
+    # is then unprovable, and a proof elsewhere in the goal is still found
+    clear_memo()
+    result = prove(seq(text), BASIC)
+    assert result.stats.committed > 0
+    assert result.is_provable == oracle.provable(seq(text))
+    assert result.is_provable or result.limit_hit is None
+
+
+def test_prunings_stay_off_where_they_do_not_hold():
+    # weakening deletes lone literals, so only the commit applies there;
+    # contraction keeps the search exactly as before
+    clear_memo()
+    weak = prove(seq("A, B |- A"), WEAK_ONLY)
+    assert weak.is_provable and weak.stats.refuted == 0
+    for cfg in (CONTR_ONLY, CLASSICAL):
+        stats = prove(seq("A |- B par A"), cfg, SearchLimits(max_depth=4, max_nodes=2000)).stats
+        assert (stats.refuted, stats.committed) == (0, 0)

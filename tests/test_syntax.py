@@ -14,6 +14,8 @@ from entlogic.syntax import (
     print_proof,
     print_sequent,
     proof_from_json,
+    proof_to_dict,
+    to_json,
 )
 from strategies import formulas, sequents
 
@@ -155,6 +157,15 @@ def test_print_proof_json_round_trip(golden_proofs):
         verdict = check_proof(rebuilt, cfg)
         assert verdict, f"{verdict.reason} at {verdict.path}"
         assert json.loads(blob)["rule"] == tree.node.rule
+        assert blob == json.dumps(proof_to_dict(tree), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{}, [], (), "x", None, 2.5, [[{}], ()], {"b": [1, True], "a": {"é\"\\": None, "": [[]]}}],
+)
+def test_to_json_writes_what_the_standard_encoder_writes(obj):
+    assert to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def test_print_proof_unknown_format(golden_proofs):
