@@ -319,7 +319,8 @@ def test_literal_refutation_is_not_literal_counting():
 
 @pytest.mark.parametrize("k", range(4, 13))
 def test_wide_context_is_refuted_at_the_root(k):
-    # the parent enumerated 2^(k+2) splits here; no Ci can meet an axiom
+    # an exhaustive search builds 2^(k+2) split instances here, though no Ci
+    # can ever meet an axiom
     clear_memo()
     goal = seq("A par B, " + ", ".join(f"C{i}" for i in range(k)) + " |- D, E")
     result = prove(goal, BASIC)
@@ -333,14 +334,14 @@ HEAVY = (
 )
 
 
-@pytest.mark.parametrize("cfg, parent_nodes", [(BASIC, 28_075), (BASIC_EXPAND, 12_031)])
-def test_heavy_goal_prunes_below_the_exhaustive_search(cfg, parent_nodes):
-    # the slowest oracle-test goal of hypothesis seed 2; parent_nodes is what
-    # the search expanded before the prunings
+@pytest.mark.parametrize("cfg, exhaustive_nodes", [(BASIC, 28_075), (BASIC_EXPAND, 12_031)])
+def test_heavy_goal_prunes_below_the_exhaustive_search(cfg, exhaustive_nodes):
+    # the slowest oracle-test goal of hypothesis seed 2; exhaustive_nodes is
+    # what the search expands without the prunings
     clear_memo()
     result = prove(seq(HEAVY), cfg)
     assert result.is_not_provable and result.limit_hit is None
-    assert result.stats.nodes_expanded < parent_nodes
+    assert result.stats.nodes_expanded < exhaustive_nodes
     assert result.stats.refuted > 0 and result.stats.committed > 0
 
 
