@@ -20,6 +20,7 @@ from .search import (
     NOT_PROVABLE,
     PROVABLE,
     UNKNOWN,
+    GoalRejectedError,
     SearchLimits,
     SearchResult,
     decide_idempotence,
@@ -62,45 +63,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems must exit 64, not argparse's 2
         raise _UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--logic", choices=("basic", "linear", "classical"), default="basic")
-    common.add_argument("--at-mode", choices=(AT_PRIMITIVE, AT_EXPAND), default=AT_EXPAND)
-    common.add_argument("--max-depth", type=int, default=64)
-    common.add_argument("--max-nodes", type=int, default=1_000_000)
-    common.add_argument("--format", choices=("text", "latex", "json"), default="text")
-
-    parser = _Parser(prog="entlogic", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_prove = sub.add_parser("prove", parents=[common], help="decide a sequent")
-    p_prove.add_argument("sequent")
-    p_prove.add_argument(
-        "--compare-at-modes",
-        action="store_true",
-        help="also run the other @-handling mode and report whether verdicts agree",
-    )
-
-    p_expand = sub.add_parser("expand", parents=[common], help="rewrite @/$ by definition")
-    p_expand.add_argument("formula")
-
-    p_idem = sub.add_parser("idempotence", parents=[common], help="decide X.X -||- X")
-    p_idem.add_argument("connective", metavar="CONNECTIVE")
-
-    p_selfref = sub.add_parser("selfref", parents=[common], help="self-reference report")
-    p_selfref.add_argument("connective", metavar="CONNECTIVE")
-
-    sub.add_parser("report-matrix", parents=[common], help="all connectives x presets")
-
-    p_quantum = sub.add_parser("quantum", parents=[common], help="state-vector oracle")
-    q_sub = p_quantum.add_subparsers(dest="quantum_command", required=True)
-    q_clone = q_sub.add_parser("clone", parents=[common])
-    q_clone.add_argument("state", nargs="+", help="zero | one | cat | custom aRe aIm bRe bIm")
-    q_sep = q_sub.add_parser("separable", parents=[common])
-    q_sep.add_argument("state", nargs="+", help="bell name (phi+/phi-/psi+/psi-) or LIT*LIT product")
-    return parser
 
 
 def _config(args) -> LogicConfig:
@@ -209,14 +171,8 @@ def _cmd_expand(args) -> int:
     return EX_OK
 
 
-def _check_connective(token: str) -> str:
-    if token not in CONNECTIVE_TOKENS:
-        raise _UsageError(f"unknown connective {token!r}; use one of {', '.join(CONNECTIVE_TOKENS)}")
-    return token
-
-
 def _cmd_idempotence(args) -> int:
-    token = _check_connective(args.connective)
+    token = args.connective
     report = decide_idempotence(token, _config(args), _limits(args))
     fwd = print_sequent(report.forward.goal)
     bwd = print_sequent(report.backward.goal)
@@ -250,7 +206,7 @@ def _cmd_idempotence(args) -> int:
 
 
 def _cmd_selfref(args) -> int:
-    token = _check_connective(args.connective)
+    token = args.connective
     report = build_report(token, _config(args), _limits(args))
     if args.format == "json":
         _emit(to_json({"command": "selfref", **report_to_dict(report)}))
@@ -292,7 +248,7 @@ def _parse_single_state(words: list[str]) -> quantum.QuantumState:
             raise _UsageError(f"bad number in custom state: {' '.join(words[1:])}")
         try:
             return quantum.make_qubit(complex(vals[0], vals[1]), complex(vals[2], vals[3]))
-        except ValueError as err:
+        except (ValueError, OverflowError) as err:  # OverflowError: |a|^2 past the float range
             raise _UsageError(str(err))
     if len(words) != 1:
         raise _UsageError(f"unexpected state arguments: {' '.join(words)}")
@@ -317,62 +273,97 @@ def _parse_two_qubit_state(words: list[str]) -> quantum.QuantumState:
     )
 
 
-def _cmd_quantum(args) -> int:
-    if args.quantum_command == "clone":
-        psi = _parse_single_state(args.state)
-        outcome = quantum.try_clone(psi)
-        if args.format == "json":
-            payload = {
-                "command": "quantum clone",
-                "input": _fmt_state(psi),
-                "produced": _fmt_state(outcome.produced),
-                "intended": _fmt_state(outcome.intended),
-                "success": outcome.success,
-                "fidelity_with_intended": round(outcome.fidelity_with_intended, 12),
-                "produced_separable": quantum.is_separable(outcome.produced),
-            }
-            _emit(to_json(payload))
-        else:
-            _emit(f"input: {_fmt_state(psi)}")
-            _emit(f"produced: {_fmt_state(outcome.produced)}")
-            _emit(f"intended: {_fmt_state(outcome.intended)}")
-            _emit(f"success: {'true' if outcome.success else 'false'}")
-            _emit(f"fidelity_with_intended: {outcome.fidelity_with_intended:.12g}")
-            _emit(f"produced_separable: {'true' if quantum.is_separable(outcome.produced) else 'false'}")
-        return EX_OK
-    if args.quantum_command == "separable":
-        state = _parse_two_qubit_state(args.state)
-        verdict = quantum.is_separable(state)
-        if args.format == "json":
-            payload = {
-                "command": "quantum separable",
-                "state": _fmt_state(state),
-                "separable": verdict,
-            }
-            _emit(to_json(payload))
-        else:
-            _emit(f"state: {_fmt_state(state)}")
-            _emit(f"separable: {'true' if verdict else 'false'}")
-        return EX_OK
-    raise _UsageError(f"unknown quantum command {args.quantum_command!r}")
+def _cmd_clone(args) -> int:
+    psi = _parse_single_state(args.state)
+    outcome = quantum.try_clone(psi)
+    if args.format == "json":
+        payload = {
+            "command": "quantum clone",
+            "input": _fmt_state(psi),
+            "produced": _fmt_state(outcome.produced),
+            "intended": _fmt_state(outcome.intended),
+            "success": outcome.success,
+            "fidelity_with_intended": round(outcome.fidelity_with_intended, 12),
+            "produced_separable": quantum.is_separable(outcome.produced),
+        }
+        _emit(to_json(payload))
+    else:
+        _emit(f"input: {_fmt_state(psi)}")
+        _emit(f"produced: {_fmt_state(outcome.produced)}")
+        _emit(f"intended: {_fmt_state(outcome.intended)}")
+        _emit(f"success: {'true' if outcome.success else 'false'}")
+        _emit(f"fidelity_with_intended: {outcome.fidelity_with_intended:.12g}")
+        _emit(f"produced_separable: {'true' if quantum.is_separable(outcome.produced) else 'false'}")
+    return EX_OK
 
 
-_COMMANDS = {
-    "prove": _cmd_prove,
-    "expand": _cmd_expand,
-    "idempotence": _cmd_idempotence,
-    "selfref": _cmd_selfref,
-    "report-matrix": _cmd_report_matrix,
-    "quantum": _cmd_quantum,
+def _cmd_separable(args) -> int:
+    state = _parse_two_qubit_state(args.state)
+    verdict = quantum.is_separable(state)
+    if args.format == "json":
+        _emit(to_json({"command": "quantum separable", "state": _fmt_state(state), "separable": verdict}))
+    else:
+        _emit(f"state: {_fmt_state(state)}")
+        _emit(f"separable: {'true' if verdict else 'false'}")
+    return EX_OK
+
+
+# The search settings; each command takes those its handler reads.
+_SEARCH_OPTIONS = {
+    "--logic": dict(choices=("basic", "linear", "classical"), default="basic"),
+    "--at-mode": dict(choices=(AT_PRIMITIVE, AT_EXPAND), default=AT_EXPAND),
+    "--max-depth": dict(type=int, default=64),
+    "--max-nodes": dict(type=int, default=1_000_000),
 }
+_ALL_FORMATS = ("text", "latex", "json")
+
+
+def _add_command(sub, name, handler, formats=("text", "json"), search=(), **kwargs) -> _Parser:
+    """A subcommand that runs ``handler`` and accepts the named ``search``
+    options and ``--format`` in ``formats``, and no option it does not read."""
+    p = sub.add_parser(name, **kwargs)
+    for option in search:
+        p.add_argument(option, **_SEARCH_OPTIONS[option])
+    p.add_argument("--format", choices=formats, default="text")
+    p.set_defaults(handler=handler)
+    return p
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="entlogic", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = _add_command(sub, "prove", _cmd_prove, _ALL_FORMATS, _SEARCH_OPTIONS, help="decide a sequent")
+    p.add_argument("sequent")
+    p.add_argument(
+        "--compare-at-modes",
+        action="store_true",
+        help="also run the other @-handling mode and report whether verdicts agree",
+    )
+    p = _add_command(sub, "expand", _cmd_expand, _ALL_FORMATS, help="rewrite @/$ by definition")
+    p.add_argument("formula")
+    p = _add_command(sub, "idempotence", _cmd_idempotence, search=_SEARCH_OPTIONS, help="decide X.X -||- X")
+    p.add_argument("connective", metavar="CONNECTIVE", choices=CONNECTIVE_TOKENS)
+    p = _add_command(sub, "selfref", _cmd_selfref, search=_SEARCH_OPTIONS, help="self-reference report")
+    p.add_argument("connective", metavar="CONNECTIVE", choices=CONNECTIVE_TOKENS)
+    # the matrix covers every preset, so it takes no --logic
+    matrix_search = ("--at-mode", "--max-depth", "--max-nodes")
+    _add_command(sub, "report-matrix", _cmd_report_matrix, search=matrix_search, help="all connectives x presets")
+
+    q_sub = sub.add_parser("quantum", help="state-vector oracle").add_subparsers(dest="quantum_command", required=True)
+    p = _add_command(q_sub, "clone", _cmd_clone)
+    p.add_argument("state", nargs="+", help="zero | one | cat | custom aRe aIm bRe bIm")
+    p = _add_command(q_sub, "separable", _cmd_separable)
+    p.add_argument("state", nargs="+", help="bell name (phi+/phi-/psi+/psi-) or LIT*LIT product")
+    return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except (_UsageError, ParseError, ValueError) as err:
+        return args.handler(args)
+    except (_UsageError, ParseError, GoalRejectedError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EX_USAGE
     except AnalyzerError as err:  # a search limit left a sub-question open

@@ -38,7 +38,7 @@ def make_qubit(a: complex, b: complex) -> QuantumState:
     norm2 = abs(a) ** 2 + abs(b) ** 2
     if norm2 == 0:
         raise ValueError("zero vector is not a state")
-    if abs(norm2 - 1.0) > 1e-9:
+    if not abs(norm2 - 1.0) <= 1e-9:  # also NaN
         raise ValueError(f"amplitudes not normalized: |a|^2 + |b|^2 = {norm2!r}")
     n = math.sqrt(norm2)
     return QuantumState((a / n, b / n))

@@ -192,6 +192,9 @@ def test_quantum_clone_outputs(capsys):
     assert payload["fidelity_with_intended"] == pytest.approx(0.5)
     code, out, _ = run(capsys, "quantum", "clone", "zero")
     assert "success: true" in out
+    code, out, _ = run(capsys, "quantum", "clone", "zero", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["success"] is True
 
 
 def test_quantum_clone_custom_state(capsys):
@@ -202,6 +205,11 @@ def test_quantum_clone_custom_state(capsys):
     assert code == 64
     code, _, err = run(capsys, "quantum", "clone", "custom", "0", "0", "0", "0")
     assert code == 64
+    # NaN passes no normalisation test, and |a|^2 of 1e200 leaves the float
+    # range: both are the user's input, not a fault of the program
+    for amplitudes in (("nan", "0", "0", "0"), ("1e200", "0", "0", "0")):
+        code, out, err = run(capsys, "quantum", "clone", "custom", *amplitudes)
+        assert code == 64 and out == ""
 
 
 def test_quantum_separable(capsys):
@@ -243,6 +251,42 @@ def test_internal_error_exits_70_without_a_verdict(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("internal error: ")
     assert err.count("\n") == 1
+
+
+def test_stray_value_error_exits_70_not_64(capsys, monkeypatch):
+    # user-input ValueErrors become usage errors where they arise; one from
+    # the program itself is its own fault, not the user's
+    def broken_prove(*args, **kwargs):
+        raise ValueError("search crashed")
+
+    monkeypatch.setattr("entlogic.cli.prove", broken_prove)
+    code, out, err = run(capsys, "prove", "A |- A")
+    assert code == 70
+    assert out == ""
+    assert err.startswith("internal error: ValueError")
+
+
+_SEARCH_OPTIONS = (("--logic", "basic"), ("--at-mode", "expand"), ("--max-depth", "64"), ("--max-nodes", "1000"))
+_QUANTUM = (("quantum", "clone", "zero"), ("quantum", "separable", "phi+"))
+_UNREAD_OPTIONS = [
+    *[("expand", "A", *option) for option in _SEARCH_OPTIONS],
+    ("report-matrix", "--logic", "basic"),
+    *[("quantum", *option, "clone", "zero") for option in (*_SEARCH_OPTIONS, ("--format", "json"))],
+    *[(*command, *option) for command in _QUANTUM for option in _SEARCH_OPTIONS],
+    *[
+        (*command, "--format", "latex")
+        for command in (("idempotence", "*"), ("selfref", "@"), ("report-matrix",), *_QUANTUM)
+    ],
+]
+
+
+@pytest.mark.parametrize("argv", _UNREAD_OPTIONS, ids=" ".join)
+def test_option_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    # accepting it would silently ignore what the user asked for
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [("selfref", "@", "--logic", "classical"), ("report-matrix",)])
