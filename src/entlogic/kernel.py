@@ -268,12 +268,14 @@ class RuleInstance:
     principal: Optional[Formula] = None
 
 
-@dataclass(frozen=True)
+# eq=False and repr=False: the generated methods would recurse through
+# ``children``, so equality and hashing are identity, as for formulas
+@dataclass(frozen=True, eq=False, repr=False)
 class ProofTree:
     node: RuleInstance
     children: tuple["ProofTree", ...] = ()
     # nodes on the longest branch, taken from the children's when built
-    _height: int = field(init=False, repr=False, compare=False)
+    _height: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_height", 1 + max((c._height for c in self.children), default=0))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from entlogic.formulas import NegAtom, PosAtom
+from entlogic.formulas import Binary, Conn, NegAtom, PosAtom
 from entlogic.kernel import (
     PRESETS,
     LogicConfig,
@@ -192,3 +192,20 @@ def test_proof_walkers_keep_their_own_stack_on_a_tall_proof():
     assert len(print_proof(tree, "text").splitlines()) == 5001
     assert len(print_proof(tree, "latex").splitlines()) == 10005
     assert check_proof(proof_from_dict(proof_to_dict(tree)), CLASSICAL)
+
+
+def test_proof_tree_equality_hash_and_repr_do_not_recurse():
+    # the 2,001-level &L1 chain proof of (...((A & A) & A)... & A) |- A;
+    # equality and hashing are identity, as for interned formulas
+    def chain():
+        tree = ProofTree(RuleInstance("axiom", Sequent.of((A,), (A,)), (), A))
+        for _ in range(2000):
+            f = Binary(Conn.WITH, tree.conclusion.antecedent[0], A)
+            tree = ProofTree(RuleInstance("&L1", Sequent.of((f,), (A,)), (tree.conclusion,), f), (tree,))
+        return tree
+
+    tree, twin = chain(), chain()
+    assert tree.height() == 2001 and check_proof(tree, BASIC)
+    assert tree == tree and tree != twin
+    assert hash(tree) == hash(tree) and len({tree, twin}) == 2
+    assert repr(tree).startswith("<entlogic.kernel.ProofTree object at ")
