@@ -267,7 +267,13 @@ def test_pickle_and_copy_return_the_identical_object(f):
 
 def test_dead_terms_leave_the_intern_table():
     def fresh_terms():
-        return [t for t in formulas_module._TERMS.values() if "Fresh_only_here" in repr(t)]
+        # only this test's terms reach repr: another test's live 2,000-deep
+        # chain would cost 2 M nodes of it
+        def names(t):
+            return {getattr(x, "name", None) for x in (t, getattr(t, "left", None), getattr(t, "right", None))}
+
+        own = [t for t in formulas_module._TERMS.values() if "Fresh_only_here" in names(t)]
+        return [t for t in own if "Fresh_only_here" in repr(t)]
 
     f = Binary(Conn.TIMES, PosAtom("Fresh_only_here"), NegAtom("Fresh_only_here"))
     assert len(fresh_terms()) == 3
