@@ -350,7 +350,8 @@ def _build_parser() -> _Parser:
     matrix_search = ("--at-mode", "--max-depth", "--max-nodes")
     _add_command(sub, "report-matrix", _cmd_report_matrix, search=matrix_search, help="all connectives x presets")
 
-    q_sub = sub.add_parser("quantum", help="state-vector oracle").add_subparsers(dest="quantum_command", required=True)
+    p = sub.add_parser("quantum", help="state-vector oracle")
+    q_sub = p.add_subparsers(dest="quantum_command", required=True)
     p = _add_command(q_sub, "clone", _cmd_clone)
     p.add_argument("state", nargs="+", help="zero | one | cat | custom aRe aIm bRe bIm")
     p = _add_command(q_sub, "separable", _cmd_separable)
