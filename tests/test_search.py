@@ -252,6 +252,26 @@ def test_times_attribution_exchanged_against_par():
     assert times.backward_rescue == ("contraction",)
 
 
+W, C = ("weakening",), ("contraction",)
+# connective -> rules rescuing (forward X.X |- X, backward X |- X.X) under basic
+# and linear; & and | are idempotent there, and every connective is classically
+ATTRIBUTION = {"*": (W, C), "par": (C, W), "@": (C, W), "$": (W, C)}
+APPLICABLE_CELLS = [
+    (conn.value, preset)
+    for conn in Conn
+    for preset in ("basic", "linear", "classical")
+    if not (preset == "linear" and conn in (Conn.ENT, Conn.SEC))
+]
+
+
+@pytest.mark.parametrize("at_mode", ["primitive", "expand"])
+@pytest.mark.parametrize("token, preset", APPLICABLE_CELLS)
+def test_attribution_table(token, preset, at_mode):
+    report = decide_idempotence(token, LogicConfig.preset(preset, at_mode=at_mode))
+    expected = ATTRIBUTION.get(token, ((), ())) if preset != "classical" else ((), ())
+    assert (report.forward_rescue, report.backward_rescue) == expected
+
+
 @pytest.mark.parametrize("at_mode", ["primitive", "expand"])
 @pytest.mark.parametrize("preset", ["basic", "classical"])
 def test_ent_and_sec_verdicts_match(preset, at_mode):
