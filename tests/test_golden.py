@@ -89,7 +89,7 @@ SEARCH_CONFIGS = (
     ("basic/primitive", conftest.BASIC, None),
     ("basic/expand", conftest.BASIC_EXPAND, None),
     ("weakening-only", conftest.WEAK_ONLY, None),
-    ("contraction-only", conftest.CONTR_ONLY, SearchLimits(max_depth=6, max_nodes=2000, max_copies=2)),
+    ("contraction-only", conftest.CONTR_ONLY, SearchLimits(max_depth=6, max_nodes=2000)),
     ("classical", conftest.CLASSICAL, SearchLimits(max_depth=5, max_nodes=2000)),
 )
 
