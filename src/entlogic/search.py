@@ -26,9 +26,7 @@ from typing import Generator, Optional, Union
 from .formulas import Binary, Conn, Formula, PosAtom, dual, expand_connectives, qubit_of
 from .kernel import (
     AT_EXPAND,
-    CONTRACT,
     INVERTIBLE,
-    RULES,
     LogicConfig,
     ProofTree,
     Sequent,
@@ -56,15 +54,9 @@ class _Limit(Exception):
 class SearchLimits:
     max_depth: int = 64
     max_nodes: int = 1_000_000
-    # optional cap on how many copies of one formula backward contraction may
-    # pile up on a side; capped branches count as truncations, so a capped
-    # search can report Provable or Unknown but never a definitive NotProvable
-    max_copies: Optional[int] = None
 
     def __post_init__(self):
         if self.max_depth <= 0 or self.max_nodes <= 0:
-            raise ValueError("search limits must be positive")
-        if self.max_copies is not None and self.max_copies <= 0:
             raise ValueError("search limits must be positive")
 
 
@@ -227,11 +219,6 @@ class _Search:
         cuts_before = self.cuts
         for inst in rule_instances(seq, self.cfg):
             self.instances += 1
-            if self.limits.max_copies is not None and RULES[inst.rule].kind == CONTRACT:
-                grown = inst.premises[0].side(RULES[inst.rule].side)
-                if grown.count(inst.principal) > self.limits.max_copies:
-                    self.cuts += 1
-                    continue
             children: list[ProofTree] = []
             for premise in inst.premises:
                 sub = self._lookup(premise, budget - 1)
@@ -369,17 +356,16 @@ def _idempotence_pair(conn: Conn) -> tuple[Formula, Formula]:
     return Binary(conn, single, single), single
 
 
+# The probes' depth cap.  The contraction-only search space is infinite when
+# contraction does not rescue the goal, and the cap is what ends that search.
+# The deepest rescue among the idempotence pairs is 5 levels (3 for the X
+# pairs, 5 for the Q(A) pairs), so 8 finds every one.
+_PROBE_DEPTH = 8
+
+
 def _rescuers(goal: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits]) -> tuple[str, ...]:
-    # A rescuing proof only needs to rebalance the two copies produced by the
-    # test pair, so a budget tied to the goal size is ample; it keeps the
-    # contraction-only probe (whose search space is infinite when the goal is
-    # not rescued) from burning the full node budget.
     base = limits or SearchLimits()
-    probe = SearchLimits(
-        max_depth=min(base.max_depth, max(8, goal.size() + 2)),
-        max_nodes=min(base.max_nodes, 200_000),
-        max_copies=2,
-    )
+    probe = SearchLimits(min(base.max_depth, _PROBE_DEPTH), base.max_nodes)
     out = []
     for name, single in ((WEAKENING, LogicConfig(True, False, cfg.at_mode, cfg.allow_ent)),
                          (CONTRACTION, LogicConfig(False, True, cfg.at_mode, cfg.allow_ent))):
