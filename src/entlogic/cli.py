@@ -174,8 +174,10 @@ def _cmd_expand(args) -> int:
 def _cmd_idempotence(args) -> int:
     token = args.connective
     report = decide_idempotence(token, _config(args), _limits(args))
-    fwd = print_sequent(report.forward.goal)
-    bwd = print_sequent(report.backward.goal)
+    directions = (
+        (report.forward, report.forward_rescue, report.forward_undetermined),
+        (report.backward, report.backward_rescue, report.backward_undetermined),
+    )
     if args.format == "json":
         payload = {
             "command": "idempotence",
@@ -184,8 +186,10 @@ def _cmd_idempotence(args) -> int:
             "at_mode": args.at_mode,
             "idempotent": report.idempotent,
             "directions": {
-                fwd: {"verdict": report.forward.verdict, "rescued_by": list(report.forward_rescue)},
-                bwd: {"verdict": report.backward.verdict, "rescued_by": list(report.backward_rescue)},
+                print_sequent(res.goal): {
+                    "verdict": res.verdict, "rescued_by": list(rescue), "undetermined": list(undetermined)
+                }
+                for res, rescue, undetermined in directions
             },
         }
         _emit(to_json(payload))
@@ -194,13 +198,12 @@ def _cmd_idempotence(args) -> int:
         _emit(f"connective: {token}")
         _emit(f"logic: {args.logic}")
         _emit(f"idempotent: {idem}")
-        for name, res, rescue in (
-            ("direction " + fwd, report.forward, report.forward_rescue),
-            ("direction " + bwd, report.backward, report.backward_rescue),
-        ):
-            line = f"{name}: {_verdict_message(res)}"
+        for res, rescue, undetermined in directions:
+            line = f"direction {print_sequent(res.goal)}: {_verdict_message(res)}"
             if rescue:
                 line += f"; provable with {' or '.join(rescue)} alone"
+            if undetermined:
+                line += f"; undetermined with {' or '.join(undetermined)} alone"
             _emit(line)
     return EX_UNKNOWN if report.idempotent is None else EX_OK
 

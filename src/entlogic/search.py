@@ -335,8 +335,12 @@ class IdempotenceReport:
     idempotent: Optional[bool]  # None when a limit made the search indeterminate
     forward: SearchResult  # compound |- single
     backward: SearchResult  # single |- compound
+    # per failing direction, the structural rules that alone prove it, and
+    # those whose probe ended Unknown
     forward_rescue: tuple[str, ...]
     backward_rescue: tuple[str, ...]
+    forward_undetermined: tuple[str, ...]
+    backward_undetermined: tuple[str, ...]
 
 
 def _as_conn(connective: Union[Conn, str]) -> Conn:
@@ -363,15 +367,22 @@ def _idempotence_pair(conn: Conn) -> tuple[Formula, Formula]:
 _PROBE_DEPTH = 8
 
 
-def _rescuers(goal: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits]) -> tuple[str, ...]:
+def _rescuers(
+    goal: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits]
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The structural rules that alone prove ``goal``, and those whose probe
+    ended Unknown."""
     base = limits or SearchLimits()
     probe = SearchLimits(min(base.max_depth, _PROBE_DEPTH), base.max_nodes)
-    out = []
+    rescued, undetermined = [], []
     for name, single in ((WEAKENING, LogicConfig(True, False, cfg.at_mode, cfg.allow_ent)),
                          (CONTRACTION, LogicConfig(False, True, cfg.at_mode, cfg.allow_ent))):
-        if prove(goal, single, probe).is_provable:
-            out.append(name)
-    return tuple(out)
+        result = prove(goal, single, probe)
+        if result.is_provable:
+            rescued.append(name)
+        elif result.is_unknown:
+            undetermined.append(name)
+    return tuple(rescued), tuple(undetermined)
 
 
 def decide_idempotence(
@@ -380,7 +391,8 @@ def decide_idempotence(
     """Is ``X . X`` interderivable with ``X`` under ``cfg``?
 
     Failing directions are re-tried with each structural rule singly enabled
-    to attribute which missing rule the direction needed.  Results are pure
+    to attribute which missing rule the direction needed; a probe that ends
+    Unknown makes its rule undetermined, not a non-rescuer.  Results are pure
     and cached per (connective, configuration, limits).
     """
     return _decide_idempotence_cached(_as_conn(connective), cfg, limits)
@@ -399,8 +411,8 @@ def _decide_idempotence_cached(
         idempotent = False
     else:
         idempotent = None
-    fwd_rescue = _rescuers(eq.forward.goal, cfg, limits) if eq.forward.is_not_provable else ()
-    bwd_rescue = _rescuers(eq.backward.goal, cfg, limits) if eq.backward.is_not_provable else ()
+    fwd = _rescuers(eq.forward.goal, cfg, limits) if eq.forward.is_not_provable else ((), ())
+    bwd = _rescuers(eq.backward.goal, cfg, limits) if eq.backward.is_not_provable else ((), ())
     return IdempotenceReport(
         connective=conn.value,
         config=cfg,
@@ -409,6 +421,8 @@ def _decide_idempotence_cached(
         idempotent=idempotent,
         forward=eq.forward,
         backward=eq.backward,
-        forward_rescue=fwd_rescue,
-        backward_rescue=bwd_rescue,
+        forward_rescue=fwd[0],
+        backward_rescue=bwd[0],
+        forward_undetermined=fwd[1],
+        backward_undetermined=bwd[1],
     )

@@ -146,6 +146,23 @@ def test_idempotence_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["idempotent"] is True
+    assert [d["undetermined"] for d in payload["directions"].values()] == [[], []]
+
+
+def test_idempotence_marks_an_unknown_probe_undetermined(capsys):
+    code, out, _ = run(capsys, "idempotence", "*", "--logic", "basic")
+    assert code == 0
+    assert (
+        "direction X * X |- X: NotProvable (exhaustive); provable with weakening alone;"
+        " undetermined with contraction alone\n" in out
+    )
+    assert "direction X |- X * X: NotProvable (exhaustive); provable with contraction alone\n" in out
+    code, out, _ = run(capsys, "idempotence", "*", "--logic", "basic", "--format", "json")
+    directions = json.loads(out)["directions"]
+    assert directions["X * X |- X"]["undetermined"] == ["contraction"]
+    assert directions["X |- X * X"]["undetermined"] == []
+    code, out, _ = run(capsys, "idempotence", "&", "--logic", "basic")
+    assert "undetermined" not in out
 
 
 def test_idempotence_indeterminate_exits_2(capsys):

@@ -253,9 +253,10 @@ def test_times_attribution_exchanged_against_par():
 
 
 W, C = ("weakening",), ("contraction",)
-# connective -> rules rescuing (forward X.X |- X, backward X |- X.X) under basic
-# and linear; & and | are idempotent there, and every connective is classically
-ATTRIBUTION = {"*": (W, C), "par": (C, W), "@": (C, W), "$": (W, C)}
+# connective -> under basic and linear, the rules that rescue the forward
+# X.X |- X and the backward X |- X.X, then those undetermined on each; & and |
+# are idempotent there, and every connective is classically
+ATTRIBUTION = {"*": (W, C, C, ()), "par": (C, W, (), C), "@": (C, W, (), C), "$": (W, C, C, ())}
 APPLICABLE_CELLS = [
     (conn.value, preset)
     for conn in Conn
@@ -268,8 +269,13 @@ APPLICABLE_CELLS = [
 @pytest.mark.parametrize("token, preset", APPLICABLE_CELLS)
 def test_attribution_table(token, preset, at_mode):
     report = decide_idempotence(token, LogicConfig.preset(preset, at_mode=at_mode))
-    expected = ATTRIBUTION.get(token, ((), ())) if preset != "classical" else ((), ())
-    assert (report.forward_rescue, report.backward_rescue) == expected
+    expected = ATTRIBUTION.get(token, ((),) * 4) if preset != "classical" else ((),) * 4
+    assert (
+        report.forward_rescue,
+        report.backward_rescue,
+        report.forward_undetermined,
+        report.backward_undetermined,
+    ) == expected
 
 
 @pytest.mark.parametrize("at_mode", ["primitive", "expand"])
