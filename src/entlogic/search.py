@@ -343,10 +343,6 @@ class IdempotenceReport:
     backward_undetermined: tuple[str, ...]
 
 
-def _as_conn(connective: Union[Conn, str]) -> Conn:
-    return connective if isinstance(connective, Conn) else Conn(connective)
-
-
 def _idempotence_pair(conn: Conn) -> tuple[Formula, Formula]:
     # @ is tested on the qubit proposition, $ on its dual shape: the two
     # tests are then mechanical duals of each other, so the connectives
@@ -395,7 +391,7 @@ def decide_idempotence(
     Unknown makes its rule undetermined, not a non-rescuer.  Results are pure
     and cached per (connective, configuration, limits).
     """
-    return _decide_idempotence_cached(_as_conn(connective), cfg, limits)
+    return _decide_idempotence_cached(Conn(connective), cfg, limits)
 
 
 @lru_cache(maxsize=512)

@@ -20,7 +20,6 @@ from .search import (
     GoalRejectedError,
     IdempotenceReport,
     SearchLimits,
-    _as_conn,
     decide_idempotence,
 )
 from . import quantum
@@ -101,7 +100,7 @@ CLASS_RECOVERED = "StandardRecoveredViaClone"
 
 def self_compose(connective: Union[Conn, str], s0: Formula) -> Binary:
     """Duplicate ``s0`` and fuse the pair: the image of the diagonal map."""
-    conn = _as_conn(connective)
+    conn = Conn(connective)
     if conn in (Conn.ENT, Conn.SEC) and not is_qubit_shaped(s0):
         raise ShapeError(f"{conn.value} needs a qubit-shaped operand, got {s0}")
     return Binary(conn, s0, s0)
@@ -159,7 +158,7 @@ def liar_analysis(
     connective: Union[Conn, str], cfg: LogicConfig, limits: Optional[SearchLimits] = None
 ) -> LiarOutcome:
     """Rewrite the self-referential falsehood sentence via the truth schema."""
-    conn = _as_conn(connective)
+    conn = Conn(connective)
     return _liar_from(fixed_point_check(conn, cfg, limits), conn)
 
 
