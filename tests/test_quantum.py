@@ -158,9 +158,20 @@ def test_clone_cat_yields_bell_state():
 def test_clone_succeeds_exactly_on_basis_states(psi):
     a, b = psi.amplitudes
     outcome = try_clone(psi)
+    if outcome.success:
+        assert is_separable(outcome.produced)
     if a == 0 or b == 0:
         assert outcome.success
     elif abs(a * b) > 1e-6:
         # a genuine superposition: the copy fails and leaves entanglement
         assert not outcome.success
         assert not is_separable(outcome.produced)
+
+
+@pytest.mark.parametrize("b", [1e-7, 1e-11])
+def test_clone_of_a_near_basis_state_fails_and_stays_entangled(b):
+    # fidelity reads 1 within the tolerance here, but the output is entangled
+    outcome = try_clone(make_qubit(math.sqrt(1 - b * b), b))
+    assert outcome.fidelity_with_intended >= 1 - TOLERANCE
+    assert not is_separable(outcome.produced)
+    assert not outcome.success
