@@ -335,8 +335,7 @@ class IdempotenceReport:
     idempotent: Optional[bool]  # None when a limit made the search indeterminate
     forward: SearchResult  # compound |- single
     backward: SearchResult  # single |- compound
-    # per failing direction, the structural rules that alone prove it, and
-    # those whose probe ended Unknown
+    # per failing direction: the rules that alone prove it, and those whose probe ended Unknown
     forward_rescue: tuple[str, ...]
     backward_rescue: tuple[str, ...]
     forward_undetermined: tuple[str, ...]
@@ -400,13 +399,6 @@ def _decide_idempotence_cached(
 ) -> IdempotenceReport:
     compound, single = _idempotence_pair(conn)
     eq = decide_equivalence(compound, single, cfg, limits)
-    idempotent: Optional[bool]
-    if eq.verdict == EQUIVALENT:
-        idempotent = True
-    elif eq.verdict == NOT_EQUIVALENT:
-        idempotent = False
-    else:
-        idempotent = None
     fwd = _rescuers(eq.forward.goal, cfg, limits) if eq.forward.is_not_provable else ((), ())
     bwd = _rescuers(eq.backward.goal, cfg, limits) if eq.backward.is_not_provable else ((), ())
     return IdempotenceReport(
@@ -414,7 +406,7 @@ def _decide_idempotence_cached(
         config=cfg,
         compound=compound,
         single=single,
-        idempotent=idempotent,
+        idempotent={EQUIVALENT: True, NOT_EQUIVALENT: False}.get(eq.verdict),
         forward=eq.forward,
         backward=eq.backward,
         forward_rescue=fwd[0],
