@@ -365,8 +365,7 @@ _PROBE_DEPTH = 8
 def _rescuers(
     goal: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits]
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The structural rules that alone prove ``goal``, and those whose probe
-    ended Unknown."""
+    """The structural rules that alone prove ``goal``, and those whose probe ended Unknown."""
     base = limits or SearchLimits()
     probe = SearchLimits(min(base.max_depth, _PROBE_DEPTH), base.max_nodes)
     rescued, undetermined = [], []
