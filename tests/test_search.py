@@ -255,7 +255,7 @@ def test_times_attribution_exchanged_against_par():
 W, C = ("weakening",), ("contraction",)
 # connective -> under basic and linear, the rules that rescue the forward
 # X.X |- X and the backward X |- X.X, then those undetermined on each; & and |
-# are idempotent there, and every connective is classically
+# are idempotent there, and every connective is idempotent under classical
 ATTRIBUTION = {"*": (W, C, C, ()), "par": (C, W, (), C), "@": (C, W, (), C), "$": (W, C, C, ())}
 APPLICABLE_CELLS = [
     (conn.value, preset)
