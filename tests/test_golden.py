@@ -14,7 +14,11 @@ keeps every verdict but visits sequents in another order shows here.
 of those goals and of the idempotence tests (text, LaTeX, dual, size,
 ``@``/``$`` expansion and classical collapse, or the ``ShapeError`` they
 raise), then the LaTeX rendering of the golden derivations and their duals.
-After a deliberate change of behaviour, regenerate both with
+``golden_parse.txt`` pins what ``parse_formula`` and ``parse_sequent`` give
+on one line per input: the printed result, or the ``ParseError``'s message,
+span and expected tokens, for hand-picked inputs covering every error and
+for seeded mutations of printed random sequents and formulas.
+After a deliberate change of behaviour, regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -37,7 +41,9 @@ from entlogic.formulas import (
 from entlogic.kernel import ALL_RULES, dualize_proof, rule_instances
 from entlogic.search import SearchLimits, _idempotence_pair, clear_memo, prove
 from entlogic.syntax import (
+    ParseError,
     formula_to_latex,
+    parse_formula,
     parse_sequent,
     print_formula,
     print_proof,
@@ -45,11 +51,12 @@ from entlogic.syntax import (
 )
 
 import conftest
-from strategies import random_sequent
+from strategies import random_formula, random_sequent
 
 GOLDEN_TEXT = Path(__file__).with_name("golden_proofs.txt")
 GOLDEN_SEARCH = Path(__file__).with_name("golden_search.txt")
 GOLDEN_FORMULAS = Path(__file__).with_name("golden_formulas.txt")
+GOLDEN_PARSE = Path(__file__).with_name("golden_parse.txt")
 
 
 def test_golden_proofs_and_duals_render_byte_identically(golden_proofs):
@@ -177,7 +184,78 @@ def test_formula_maps_and_latex_match_golden(golden_proofs):
     assert render_formula_golden(trees) == GOLDEN_FORMULAS.read_text()
 
 
+# Every error the parser raises, with the span it names; the order in which
+# errors are found (the whole text is tokenized first, and the turnstiles are
+# counted before a sequent is parsed); and whitespace the tokenizer skips.
+PARSE_CASES = (
+    # unexpected character, also before a later parse error
+    "A # B", "A & \u00e9", "A & B & # C", "|- |- A \x00", "Q(A) @ [",
+    # unknown keyword
+    "a", "A and B", "A pa B", "A paR B", "Q(pa)", "A par B parr C",
+    # expected )
+    "(A & B", "((A)", "Q(A", "Q(A & B)", "(A & B C", "~(A par B",
+    # expected an atom
+    "Q()", "Q(~A)", "Q(Q(A))", "Q(", "Q((A))",
+    # expected a formula term
+    "", "~", "~~A", "()", "A &", "& A", "A & )", "(A & ,)", "A |- B,", ",",
+    # chained operators, after the operand checks of their left formula
+    "A & B & C", "(A & B) | C par D", "Q(A) @ Q(B) @ Q(C)", "A @ Q(B) @ C",
+    "Q(A) $ Q(B) & A", "~A * ~B par ~C",
+    # operand of @ or $ not qubit-shaped: left, right, ~(...) and parenthesized
+    "A @ Q(B)", "Q(A) $ (A & B)", "~A @ Q(B)", "Q(A) @ ~B", "~(A & B) @ Q(A)",
+    "Q(A) $ ~(A par B)", "(~(A & B)) @ Q(A)", "Q(A) @ (Q(B) @ Q(C))",
+    "~(~(A & B)) $ Q(A)", "(A | B) @ (A | B)",
+    # qubit shapes that are accepted
+    "(~A | A) @ Q(B)", "~Q(A) $ ~(A & ~A)", "~(A | ~A) @ ~(~A & A)",
+    # missing |- and more than one |-
+    "A, B", "   ", "A |- B |- C", "|- |-", "|- |- A &", "A & |- B |- C", "A |-- B",
+    # a token left before |-, or after a formula or a sequent
+    "A B |- C", "A B", "A )", "A |- B", "A,B", "Q(A) Q(B)", "A |- B C", "A |- B )", "|- A (",
+    # whitespace: tab, \x1c, \x85, no-break space, em space, trailing
+    "A\t&\tB", "A\x1c& B", "\x85A |- A", "A\u00a0|-\u00a0A", "\u2003A & B\u2003",
+    "A |- A  \n", "A & B\t\t", "\tQ(A)\x1c@\x85Q(B) |-\u2003",
+    # valid texts
+    "A", "~Q(A)", "X_1 & Yz9", "Q |- Q", "|-", "A, ~B |- C * D, E",
+)
+
+_MUTATION_ALPHABET = (
+    "A", "B", "Q", "(", ")", "~", "&", "|", "*", "par", "@", "$", ",", "|-", " ", "\t", "\u00e9", "\u2003",
+)
+
+
+def mutated_text(rng: random.Random) -> str:
+    """A printed random sequent or formula after one to three edits, each of
+    which replaces up to two characters with a token of the alphabet or with
+    nothing."""
+    text = print_sequent(random_sequent(rng)) if rng.random() < 0.5 else print_formula(random_formula(rng))
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        text = text[:i] + rng.choice(("",) + _MUTATION_ALPHABET) + text[i + rng.randint(0, 2):]
+    return text
+
+
+def parse_outcome(text: str) -> str:
+    outcomes = []
+    for parse, show in ((parse_formula, print_formula), (parse_sequent, print_sequent)):
+        try:
+            outcomes.append(show(parse(text)))
+        except ParseError as err:
+            outcomes.append(f"error {err.message!a} at {err.span.start}..{err.span.end} expected {err.expected!a}")
+    return f"{text!a} => " + " ;; ".join(outcomes)
+
+
+def render_parse_golden() -> str:
+    rng = random.Random(7)
+    texts = list(PARSE_CASES) + [mutated_text(rng) for _ in range(300)]
+    return "".join(parse_outcome(t) + "\n" for t in texts)
+
+
+def test_parse_outcomes_match_golden():
+    assert render_parse_golden() == GOLDEN_PARSE.read_text()
+
+
 if __name__ == "__main__":
+    GOLDEN_PARSE.write_text(render_parse_golden())
     GOLDEN_SEARCH.write_text(render_search_golden())
     GOLDEN_FORMULAS.write_text(
         render_formula_golden([conftest.proved(t, cfg) for t, cfg in conftest.GOLDEN_GOALS])
