@@ -12,6 +12,10 @@ Grammar (ASCII only)::
 Every compound operand must be parenthesized (one operator per level), so a
 chain like ``A & B & C`` is rejected instead of silently associating.
 ``Q(A)`` is sugar for ``A & ~A``; ``~`` on a compound computes the dual.
+
+The tokenizer is one regex scan into ``(kind, text, start, end)`` tuples, and
+the parser carries each finished term as ``(formula, start, end)``; a
+:class:`SourceSpan` is built only for a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -54,13 +58,14 @@ class ParseError(Exception):
         super().__init__(f"{message} at offset {span.start}{detail}")
 
 
-# one alternation tried left to right, so "|-" wins over "|"
+# One match per token: the whitespace before it, then one alternation tried
+# left to right, so "|-" wins over "|" and BAD takes any other character.
 _TOKEN_RE = re.compile(
-    r"""
+    r"""\s*(?:
     (?P<TURNSTILE>\|-) | (?P<AMP>&) | (?P<PIPE>\|) | (?P<STAR>\*) | (?P<AT>@)
     | (?P<DOLLAR>\$) | (?P<TILDE>~) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,)
-    | (?P<IDENT>[A-Z][A-Za-z0-9_]*) | (?P<KEYWORD>[a-z]+)
-    """,
+    | (?P<IDENT>[A-Z][A-Za-z0-9_]*) | (?P<KEYWORD>[a-z]+) | (?P<BAD>\S)
+    )""",
     re.VERBOSE,
 )
 
@@ -76,161 +81,137 @@ _BINOP_CONN = {
 _TERM_START = ("~", "an atom", "Q(", "(")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    start: int
-    end: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.start, self.end)
+def _error(at: tuple, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+    """An error located at a token or a finished term; both tuples end with
+    their start and end offsets."""
+    return ParseError(SourceSpan(at[-2], at[-1]), message, expected)
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(SourceSpan(i, i + 1), f"unexpected character {text[i]!r}")
-        tok = Token(m.lastgroup, m.group(), i, m.end())
-        if tok.kind == "KEYWORD":
-            if tok.text != "par":
-                raise ParseError(tok.span, f"unknown keyword {tok.text!r}")
-            tok = Token("PAR", tok.text, tok.start, tok.end)
+def _tokenize(text: str) -> list[tuple]:
+    """The ``(kind, text, start, end)`` tokens of ``text``, then an EOF token."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        tok = (kind, m.group(kind), m.start(kind), m.end())
+        if kind == "KEYWORD":
+            if tok[1] != "par":
+                raise _error(tok, f"unknown keyword {tok[1]!r}")
+            tok = ("PAR",) + tok[1:]
+        elif kind == "BAD":
+            raise _error(tok, f"unexpected character {tok[1]!r}")
         tokens.append(tok)
-        i = m.end()
-    tokens.append(Token("EOF", "", n, n))
+    tokens.append(("EOF", "", len(text), len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _expect(tok: tuple, kind: str, what: str) -> None:
+    if tok[0] != kind:
+        raise _error(tok, f"expected {what}", (what,))
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _formula(tokens: list, i: int) -> tuple[tuple, int]:
+    """The formula that starts at token ``i`` as ``(formula, start, end)``,
+    and the index of the token after it.
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.span, f"expected {what}", (what,))
-        return self.advance()
-
-    def formula(self) -> tuple[Formula, SourceSpan]:
-        # An explicit stack of open formulas, so nesting depth costs heap, not
-        # Python stack.  A frame is [its "(" token, the "~" before that "(",
-        # its left operand, its operator]; the outermost frame has no "(".
-        stack: list[list] = [[None, None, None, None]]
+    An explicit stack of open formulas, so nesting depth costs heap, not
+    Python stack.  A frame is [the offset of its "(", that of the "~" before
+    it or None, its left operand, its operator token]; the outermost frame has
+    no "(".
+    """
+    stack: list[list] = [[None, None, None, None]]
+    while True:
+        tilde = None
+        if tokens[i][0] == "TILDE":
+            tilde = tokens[i][2]
+            i += 1
+        tok = tokens[i]
+        if tok[0] == "LPAREN":
+            stack.append([tok[2], tilde, None, None])
+            i += 1
+            continue
+        if tok[0] != "IDENT":
+            raise _error(tok, "expected a formula term", _TERM_START)
+        if tok[1] == "Q" and tokens[i + 1][0] == "LPAREN":
+            _expect(tokens[i + 2], "IDENT", "an atom")
+            _expect(tokens[i + 3], "RPAREN", ")")
+            value = (qubit_of(tokens[i + 2][1]), tok[2], tokens[i + 3][3])
+            i += 4
+        else:
+            value = (PosAtom(tok[1]), tok[2], tok[3])
+            i += 1
+        if tilde is not None:
+            value = (dual(value[0]), tilde, value[2])
+        # feed the finished term to the open formulas, closing each one it
+        # completes
         while True:
-            tilde = self.advance() if self.peek().kind == "TILDE" else None
-            if self.peek().kind == "LPAREN":
-                stack.append([self.advance(), tilde, None, None])
-                continue
-            value = self._negated(tilde, *self.term_core())
-            # feed the finished term to the open formulas, closing each one
-            # it completes
-            while True:
-                lparen, tilde, left, op = stack[-1]
-                if left is None and self.peek().kind in _BINOP_CONN:
-                    stack[-1][2:] = value, self.advance()
-                    break  # the right operand comes next
-                if left is not None:
-                    value = self._binary(left, op, value)
-                stack.pop()
-                if not stack:
-                    return value
-                close = self.expect("RPAREN", ")")
-                value = self._negated(tilde, value[0], SourceSpan(lparen.start, close.end))
+            lparen, tilde, left, op = stack[-1]
+            if left is None and tokens[i][0] in _BINOP_CONN:
+                stack[-1][2:] = value, tokens[i]
+                i += 1
+                break  # the right operand comes next
+            if left is not None:
+                value = _binary(left, op, value, tokens[i])
+            stack.pop()
+            if not stack:
+                return value, i
+            _expect(tokens[i], "RPAREN", ")")
+            end = tokens[i][3]
+            i += 1
+            value = (value[0], lparen, end) if tilde is None else (dual(value[0]), tilde, end)
 
-    @staticmethod
-    def _negated(tilde, f: Formula, span: SourceSpan) -> tuple[Formula, SourceSpan]:
-        if tilde is None:
-            return f, span
-        return dual(f), SourceSpan(tilde.start, span.end)
 
-    def _binary(self, left, op: Token, right) -> tuple[Formula, SourceSpan]:
-        (lf, lspan), (rf, rspan) = left, right
-        conn = _BINOP_CONN[op.kind]
-        if conn in (Conn.ENT, Conn.SEC):
-            for operand, span in ((lf, lspan), (rf, rspan)):
-                if not is_qubit_shaped(operand):
-                    raise ParseError(
-                        span,
-                        f"operand of {op.text!r} must be qubit-shaped "
-                        "(an atom with its own negation, e.g. Q(A))",
-                    )
-        nxt = self.peek()
-        if nxt.kind in _BINOP_CONN:
-            raise ParseError(
-                nxt.span,
-                "chained operators need explicit parentheses",
-                ("(", ")"),
-            )
-        return Binary(conn, lf, rf), SourceSpan(lspan.start, rspan.end)
+def _binary(left: tuple, op: tuple, right: tuple, nxt: tuple) -> tuple:
+    conn = _BINOP_CONN[op[0]]
+    if conn in (Conn.ENT, Conn.SEC):
+        for operand in (left, right):
+            if not is_qubit_shaped(operand[0]):
+                raise _error(
+                    operand,
+                    f"operand of {op[1]!r} must be qubit-shaped "
+                    "(an atom with its own negation, e.g. Q(A))",
+                )
+    if nxt[0] in _BINOP_CONN:
+        raise _error(nxt, "chained operators need explicit parentheses", ("(", ")"))
+    return Binary(conn, left[0], right[0]), left[1], right[2]
 
-    def term_core(self) -> tuple[Formula, SourceSpan]:
-        """An atom or ``Q(atom)``; :meth:`formula` handles parentheses."""
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            self.advance()
-            if tok.text == "Q" and self.peek().kind == "LPAREN":
-                self.advance()
-                atom = self.expect("IDENT", "an atom")
-                close = self.expect("RPAREN", ")")
-                return qubit_of(atom.text), SourceSpan(tok.start, close.end)
-            return PosAtom(tok.text), tok.span
-        raise ParseError(tok.span, "expected a formula term", _TERM_START)
 
-    def formula_list(self, stop_kinds: tuple[str, ...]) -> list[Formula]:
-        items: list[Formula] = []
-        if self.peek().kind in stop_kinds:
-            return items
-        f, _ = self.formula()
-        items.append(f)
-        while self.peek().kind == "COMMA":
-            self.advance()
-            f, _ = self.formula()
-            items.append(f)
-        return items
+def _formula_list(tokens: list, i: int, stop_kind: str) -> tuple[list[Formula], int]:
+    items: list[Formula] = []
+    if tokens[i][0] == stop_kind:
+        return items, i
+    while True:
+        value, i = _formula(tokens, i)
+        items.append(value[0])
+        if tokens[i][0] != "COMMA":
+            return items, i
+        i += 1
+
+
+def _expect_end(tok: tuple, what: str) -> None:
+    if tok[0] != "EOF":
+        raise _error(tok, f"unexpected {tok[1]!r} after {what}")
 
 
 def parse_formula(text: str) -> Formula:
     """Parse a single formula; raises :class:`ParseError` on bad input."""
-    p = _Parser(text)
-    f, _ = p.formula()
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise ParseError(tok.span, f"unexpected {tok.text!r} after formula")
-    return f
+    tokens = _tokenize(text)
+    value, i = _formula(tokens, 0)
+    _expect_end(tokens[i], "formula")
+    return value[0]
 
 
 def parse_sequent(text: str) -> "kernel.Sequent":
     """Parse ``Gamma |- Delta`` with comma-separated, possibly empty sides."""
-    p = _Parser(text)
-    turnstiles = [t for t in p.tokens if t.kind == "TURNSTILE"]
+    tokens = _tokenize(text)
+    turnstiles = [t for t in tokens if t[0] == "TURNSTILE"]
     if not turnstiles:
-        raise ParseError(SourceSpan(len(text), len(text)), "missing |-", ("|-",))
+        raise _error(tokens[-1], "missing |-", ("|-",))
     if len(turnstiles) > 1:
-        raise ParseError(turnstiles[1].span, "sequent must contain exactly one |-")
-    antecedent = p.formula_list(stop_kinds=("TURNSTILE",))
-    p.expect("TURNSTILE", "|-")
-    succedent = p.formula_list(stop_kinds=("EOF",))
-    tok = p.peek()
-    if tok.kind != "EOF":
-        raise ParseError(tok.span, f"unexpected {tok.text!r} after sequent")
+        raise _error(turnstiles[1], "sequent must contain exactly one |-")
+    antecedent, i = _formula_list(tokens, 0, "TURNSTILE")
+    _expect(tokens[i], "TURNSTILE", "|-")
+    succedent, i = _formula_list(tokens, i + 1, "EOF")
+    _expect_end(tokens[i], "sequent")
     return kernel.Sequent.of(antecedent, succedent)
 
 

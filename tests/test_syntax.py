@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from entlogic.formulas import Binary, Conn, NegAtom, PosAtom, dual, ent, qubit_of
 from entlogic.kernel import LogicConfig, Sequent, check_proof
 from entlogic.search import prove
+from entlogic import syntax
 from entlogic.syntax import (
     ParseError,
     parse_formula,
@@ -64,6 +65,16 @@ def test_chained_operators_rejected():
     with pytest.raises(ParseError):
         parse_formula("A & B & C")
     assert parse_formula("A & (B & C)") == Binary(Conn.WITH, A, Binary(Conn.WITH, B, PosAtom("C")))
+
+
+def test_a_text_that_parses_builds_no_source_span(monkeypatch):
+    def no_span(start, end):
+        raise AssertionError(f"span {start}..{end} built")
+
+    monkeypatch.setattr(syntax, "SourceSpan", no_span)
+    parse_sequent("~(A & B), Q(A) @ ~Q(B) |- (C par ~D) * E, ~(Q(A) $ Q(B))")
+    with pytest.raises(AssertionError, match="span 3..3"):
+        parse_formula("A &")
 
 
 def test_parse_sequent_counts():
