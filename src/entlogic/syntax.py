@@ -319,7 +319,7 @@ def proof_from_dict(d: dict) -> "kernel.ProofTree":
 
 
 def proof_from_json(text: str) -> "kernel.ProofTree":
-    return proof_from_dict(json.loads(text))
+    return proof_from_dict(from_json(text))
 
 
 def to_json(obj) -> str:
@@ -344,6 +344,62 @@ def to_json(obj) -> str:
                 label = "" if key is None else json.dumps(key) + ": "
                 stack += (v, inner), ("," if i else opening) + inner + label
     return "".join(out)
+
+
+# One match per token after JSON whitespace: a bracket, a separator, or a
+# scalar for json.loads to decode; BAD is a string left open or holding a
+# control character.
+_JSON_TOKEN_RE = re.compile(
+    r"""[ \t\n\r]*(?:
+    (?P<OPEN>[\[{]) | (?P<CLOSE>[]}]) | (?P<SEP>[,:])
+    | (?P<SCALAR>"[^"\\\x00-\x1f]*(?:\\.[^"\\\x00-\x1f]*)*" | [^ \t\n\r[\]{},:"]+)
+    | (?P<BAD>")
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def from_json(text: str):
+    """``json.loads(text)`` from an explicit stack: the standard decoder
+    recurses once per nesting level.  Each scalar is decoded by ``json.loads``
+    on its own token, and malformed text raises ``json.JSONDecodeError``."""
+    stack: list[list] = []  # open containers: [the list or dict, its closing bracket, the key of its next value]
+    want = "value"  # or "[" or "{" just after that opened, "key", ":", and "end" after a value
+    for m in _JSON_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        tok = m.group(kind)
+        if stack and tok == stack[-1][1] and want in ("end", "[", "{"):
+            value = stack.pop()[0]
+        elif want in ("value", "[") and kind == "OPEN":
+            stack.append([{}, "}", None] if tok == "{" else [[], "]", None])
+            want = tok
+            continue
+        elif want in ("value", "[") and kind == "SCALAR":
+            value = json.loads(tok)
+        elif want in ("key", "{") and kind == "SCALAR" and tok[0] == '"':
+            stack[-1][2] = json.loads(tok)
+            want = ":"
+            continue
+        elif want == ":" == tok:
+            want = "value"
+            continue
+        elif want == "end" and tok == "," and stack:
+            want = "key" if stack[-1][1] == "}" else "value"
+            continue
+        else:
+            raise json.JSONDecodeError(f"unexpected {tok!r}", text, m.start(kind))
+        if stack:  # the value goes into the innermost open container
+            container, closer, key = stack[-1]
+            if closer == "]":
+                container.append(value)
+            else:
+                container[key] = value
+        else:
+            result = value
+        want = "end"
+    if want != "end" or stack:
+        raise json.JSONDecodeError("unexpected end of text", text, len(text))
+    return result
 
 
 def print_proof(p: "kernel.ProofTree", format: str = "text") -> str:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from entlogic.search import prove
 from entlogic import syntax
 from entlogic.syntax import (
     ParseError,
+    from_json,
     parse_formula,
     parse_sequent,
     print_formula,
@@ -171,12 +173,50 @@ def test_print_proof_json_round_trip(golden_proofs):
         assert blob == json.dumps(proof_to_dict(tree), indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize(
-    "obj",
-    [{}, [], (), "x", None, 2.5, [[{}], ()], {"b": [1, True], "a": {"é\"\\": None, "": [[]]}}],
-)
+JSON_OBJECTS = [
+    {},
+    [],
+    (),
+    "x",
+    None,
+    2.5,
+    [[{}], ()],
+    {"b": [1, True], "a": {"é\"\\": None, "": [[]]}},
+    [-0.0, 1e300, float("nan"), float("-inf"), 10**30, False, "\x7f\n\ud800"],
+]
+
+
+@pytest.mark.parametrize("obj", JSON_OBJECTS)
 def test_to_json_writes_what_the_standard_encoder_writes(obj):
-    assert to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    text = to_json(obj)
+    assert text == json.dumps(obj, indent=2, sort_keys=True)
+    # repr tells 1 from True and -0.0 from 0.0, and shows NaN equal to itself
+    assert repr(from_json(text)) == repr(json.loads(text))
+
+
+def _json_outcome(read, text: str) -> str:
+    try:
+        return repr(read(text))
+    except ValueError:
+        return "ValueError"
+
+
+def test_from_json_rejects_exactly_what_the_standard_decoder_rejects():
+    rng = random.Random(3)
+    texts = [to_json(obj) for obj in JSON_OBJECTS] + [json.dumps(obj) for obj in JSON_OBJECTS]
+    alphabet = list('{}[],:" \t\n\x0b\\/-+.eE019') + [
+        "true", "null", "NaN", "-Infinity", "\\u00e9", "\\ud834", "é", "\x00", "\ufeff", "\u0661"
+    ]
+    rejected = 0
+    for _ in range(3000):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(0, len(text))
+            text = text[:i] + rng.choice([""] + alphabet) + text[i + rng.randint(0, 2):]
+        expected = _json_outcome(json.loads, text)
+        assert _json_outcome(from_json, text) == expected, text
+        rejected += expected == "ValueError"
+    assert rejected > 1000 and 3000 - rejected > 100  # both outcomes occur often
 
 
 def test_print_proof_unknown_format(golden_proofs):
