@@ -332,6 +332,12 @@ def _add_command(sub, name, handler, formats=("text", "json"), search=(), **kwar
     return p
 
 
+def _misplaced_format(_value: str):
+    # the group takes no --format; without this, argparse reads its value as
+    # the quantum command and reports that as an invalid choice
+    raise argparse.ArgumentTypeError("give it after clone or separable, as in: quantum clone --format json zero")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="entlogic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -354,6 +360,7 @@ def _build_parser() -> _Parser:
     _add_command(sub, "report-matrix", _cmd_report_matrix, search=matrix_search, help="all connectives x presets")
 
     p = sub.add_parser("quantum", help="state-vector oracle")
+    p.add_argument("--format", type=_misplaced_format, help=argparse.SUPPRESS)
     q_sub = p.add_subparsers(dest="quantum_command", required=True)
     p = _add_command(q_sub, "clone", _cmd_clone)
     p.add_argument("state", nargs="+", help="zero | one | cat | custom aRe aIm bRe bIm")

@@ -305,6 +305,15 @@ def test_option_the_command_does_not_read_is_a_usage_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_format_before_the_quantum_command_is_named(capsys):
+    code, out, err = run(capsys, "quantum", "--format", "json", "clone", "zero")
+    assert (code, out) == (64, "")
+    assert err.startswith("error: argument --format: give it after clone or separable")
+    with pytest.raises(SystemExit):
+        run(capsys, "quantum", "-h")
+    assert "--format" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [("selfref", "@", "--logic", "classical"), ("report-matrix",)])
 def test_analysis_left_open_by_a_limit_exits_2(capsys, argv):
     # an indeterminate idempotence verdict is a search limit, not a crash (70)
