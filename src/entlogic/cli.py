@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from .formulas import Conn
-from .kernel import AT_EXPAND, AT_PRIMITIVE, LogicConfig
+from .kernel import AT_EXPAND, AT_PRIMITIVE, PRESETS, LogicConfig
 from .search import (
     NOT_PROVABLE,
     PROVABLE,
@@ -313,10 +313,10 @@ def _cmd_separable(args) -> int:
 
 # The search settings; each command takes those its handler reads.
 _SEARCH_OPTIONS = {
-    "--logic": dict(choices=("basic", "linear", "classical"), default="basic"),
+    "--logic": dict(choices=PRESETS, default="basic"),
     "--at-mode": dict(choices=(AT_PRIMITIVE, AT_EXPAND), default=AT_EXPAND),
-    "--max-depth": dict(type=int, default=64),
-    "--max-nodes": dict(type=int, default=1_000_000),
+    "--max-depth": dict(type=int, default=SearchLimits.max_depth),
+    "--max-nodes": dict(type=int, default=SearchLimits.max_nodes),
 }
 _ALL_FORMATS = ("text", "latex", "json")
 

@@ -162,12 +162,6 @@ class Binary(_Term):
 Formula = Union[PosAtom, NegAtom, Binary]
 
 
-def _check_atom_name(name: str) -> str:
-    if not _ATOM_RE.match(name or ""):
-        raise ValueError(f"invalid atom identifier: {name!r}")
-    return name
-
-
 def is_literal(f: Formula) -> bool:
     return isinstance(f, (PosAtom, NegAtom))
 
@@ -246,7 +240,8 @@ class QubitFormula:
     atom: str
 
     def __post_init__(self):
-        _check_atom_name(self.atom)
+        if not _ATOM_RE.match(self.atom or ""):
+            raise ValueError(f"invalid atom identifier: {self.atom!r}")
 
     def formula(self) -> Binary:
         return Binary(Conn.WITH, PosAtom(self.atom), NegAtom(self.atom))
@@ -254,7 +249,7 @@ class QubitFormula:
 
 def qubit_of(atom: str) -> Binary:
     """The compound proposition A & ~A standing for a superposed qubit."""
-    return QubitFormula(_check_atom_name(atom)).formula()
+    return QubitFormula(atom).formula()
 
 
 def _qubit_node(conn: Conn, left: Formula, right: Formula) -> Binary:
