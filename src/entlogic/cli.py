@@ -335,7 +335,9 @@ def _add_command(sub, name, handler, formats=("text", "json"), search=(), **kwar
 def _misplaced_format(_value: str):
     # the group takes no --format; without this, argparse reads its value as
     # the quantum command and reports that as an invalid choice
-    raise argparse.ArgumentTypeError("give it after clone or separable, as in: quantum clone --format json zero")
+    raise argparse.ArgumentTypeError(
+        "give it after clone or separable, as in: quantum clone --format json zero"
+    )
 
 
 def _build_parser() -> _Parser:

@@ -363,8 +363,12 @@ def from_json(text: str):
     """``json.loads(text)`` from an explicit stack: the standard decoder
     recurses once per nesting level.  Each scalar is decoded by ``json.loads``
     on its own token, and malformed text raises ``json.JSONDecodeError``."""
-    stack: list[list] = []  # open containers: [the list or dict, its closing bracket, the key of its next value]
-    want = "value"  # or "[" or "{" just after that opened, "key", ":", and "end" after a value
+    # the open containers, each [the list or dict, its closing bracket, the
+    # key its next value goes under]
+    stack: list[list] = []
+    # what the next token may be: "value"; "[" or "{" just after one opened;
+    # "key"; ":"; or "end" after a value
+    want = "value"
     for m in _JSON_TOKEN_RE.finditer(text):
         kind = m.lastgroup
         tok = m.group(kind)

@@ -240,7 +240,8 @@ def parse_outcome(text: str) -> str:
         try:
             outcomes.append(show(parse(text)))
         except ParseError as err:
-            outcomes.append(f"error {err.message!a} at {err.span.start}..{err.span.end} expected {err.expected!a}")
+            span = f"{err.span.start}..{err.span.end}"
+            outcomes.append(f"error {err.message!a} at {span} expected {err.expected!a}")
     return f"{text!a} => " + " ;; ".join(outcomes)
 
 
