@@ -1,7 +1,8 @@
 """Sequents, logic configurations, cut-free rules, and the proof checker.
 
-Sequent sides are multisets (exchange is implicit): both sides are stored as
-canonically sorted tuples, so equality and hashing follow multiset semantics.
+Sequent sides are multisets (exchange is implicit): each side is stored once
+as (formula, count) pairs in canonical order, so equality and hashing follow
+multiset semantics, and premises are built by count arithmetic.
 
 The rule set is the two-sided additive/multiplicative fragment plus the
 primitive rules for ``@`` (right formation, left reflection) and their exact
@@ -15,9 +16,11 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from collections import Counter
+from dataclasses import FrozenInstanceError, dataclass, field
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .formulas import (
     DUAL_CONN,
@@ -34,35 +37,78 @@ from .formulas import (
 # ---------------------------------------------------------------------------
 # sequents
 
+# A multiset of formulas as (formula, count) pairs, in canonical order (by
+# sort key) and with every count positive: equal multisets are equal tuples.
+Counts = tuple[tuple[Formula, int], ...]
 
-def _canon(formulas: Iterable[Formula]) -> tuple[Formula, ...]:
-    return tuple(sorted(formulas, key=sort_key))
+
+def _counted(formulas: Iterable[Formula]) -> Counts:
+    counts: dict[Formula, int] = {}
+    for f in formulas:
+        counts[f] = counts.get(f, 0) + 1
+    return tuple(sorted(counts.items(), key=lambda pair: pair[0].sort_key))
 
 
-@dataclass(frozen=True)
+def _flat(pairs: Counts) -> tuple[Formula, ...]:
+    return tuple(f for f, n in pairs for _ in range(n))
+
+
 class Sequent:
-    antecedent: tuple[Formula, ...]
-    succedent: tuple[Formula, ...]
+    """``antecedent |- succedent``.  Each side is built once as
+    :data:`Counts`, so equality is multiset equality and the hash is computed
+    once.  ``antecedent`` and ``succedent`` give the sides as sorted tuples."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "antecedent", _canon(self.antecedent))
-        object.__setattr__(self, "succedent", _canon(self.succedent))
+    __slots__ = ("ante_counts", "succ_counts", "_hash")
+
+    def __new__(cls, antecedent: Iterable[Formula], succedent: Iterable[Formula]) -> "Sequent":
+        return _sequent(_counted(antecedent), _counted(succedent))
 
     @classmethod
     def of(cls, antecedent: Iterable[Formula], succedent: Iterable[Formula]) -> "Sequent":
-        return cls(tuple(antecedent), tuple(succedent))
+        return cls(antecedent, succedent)
 
-    def size(self) -> int:
-        return sum(formula_size(f) for f in self.antecedent + self.succedent)
+    @property
+    def antecedent(self) -> tuple[Formula, ...]:
+        return _flat(self.ante_counts)
+
+    @property
+    def succedent(self) -> tuple[Formula, ...]:
+        return _flat(self.succ_counts)
 
     def side(self, which: str) -> tuple[Formula, ...]:
-        return self.antecedent if which == LEFT else self.succedent
+        return _flat(self.counts(which))
+
+    def counts(self, which: str) -> Counts:
+        return self.ante_counts if which == LEFT else self.succ_counts
+
+    def size(self) -> int:
+        return sum(formula_size(f) * n for f, n in self.ante_counts + self.succ_counts)
 
     def contains_conn(self, *conns: Conn) -> bool:
         def node(f: Binary, left: bool, right: bool) -> bool:
             return f.conn in conns or left or right
 
-        return any(fold(f, lambda _: False, node) for f in self.antecedent + self.succedent)
+        return any(fold(f, lambda _: False, node) for f, _ in self.ante_counts + self.succ_counts)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequent):
+            return NotImplemented
+        return self.ante_counts == other.ante_counts and self.succ_counts == other.succ_counts
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Sequent, (self.antecedent, self.succedent)
+
+    def __repr__(self) -> str:
+        return f"Sequent(antecedent={self.antecedent!r}, succedent={self.succedent!r})"
 
     def __str__(self) -> str:
         from .syntax import print_sequent
@@ -70,44 +116,46 @@ class Sequent:
         return print_sequent(self)
 
 
+def _sequent(ante: Counts, succ: Counts) -> Sequent:
+    """The sequent with these sides, which must already be canonical."""
+    s = object.__new__(Sequent)
+    object.__setattr__(s, "ante_counts", ante)
+    object.__setattr__(s, "succ_counts", succ)
+    object.__setattr__(s, "_hash", hash((ante, succ)))
+    return s
+
+
 def dual_sequent(s: Sequent) -> Sequent:
     """Swap sides and dualize every formula."""
-    return Sequent.of((dual(f) for f in s.succedent), (dual(f) for f in s.antecedent))
+    return Sequent((dual(f) for f in s.succedent), (dual(f) for f in s.antecedent))
 
 
-def _orient(side: str, active: tuple[Formula, ...], passive: tuple[Formula, ...]) -> Sequent:
+def _orient(side: str, active: Counts, passive: Counts) -> Sequent:
     """The sequent with ``active`` on ``side`` and ``passive`` on the other."""
-    return Sequent(active, passive) if side == LEFT else Sequent(passive, active)
+    return _sequent(active, passive) if side == LEFT else _sequent(passive, active)
 
 
-def _remove_one(side: tuple[Formula, ...], f: Formula) -> tuple[Formula, ...]:
-    out = list(side)
-    out.remove(f)
-    return tuple(out)
+def _minus(pairs: Counts, i: int) -> Counts:
+    """``pairs`` with one copy fewer of its ``i``-th formula."""
+    f, n = pairs[i]
+    if n == 1:
+        return pairs[:i] + pairs[i + 1 :]
+    return pairs[:i] + ((f, n - 1),) + pairs[i + 1 :]
 
 
-def _union(*sides: tuple[Formula, ...]) -> tuple[Formula, ...]:
-    merged: list[Formula] = []
-    for side in sides:
-        merged.extend(side)
-    return _canon(merged)
+def _plus(pairs: Counts, formulas: Iterable[Formula]) -> Counts:
+    """``pairs`` with one copy more of each of ``formulas``."""
+    for g in formulas:
+        i = bisect_left(pairs, g.sort_key, key=_pair_key)
+        if i < len(pairs) and pairs[i][0] is g:
+            pairs = pairs[:i] + ((g, pairs[i][1] + 1),) + pairs[i + 1 :]
+        else:
+            pairs = pairs[:i] + ((g, 1),) + pairs[i:]
+    return pairs
 
 
-def _distinct(side: tuple[Formula, ...]) -> list[Formula]:
-    return list(dict.fromkeys(side))
-
-
-def _submultisets(side: tuple[Formula, ...]) -> Iterator[tuple[tuple[Formula, ...], tuple[Formula, ...]]]:
-    """All (part, rest) splits of a multiset, deterministically ordered."""
-    distinct = _distinct(side)
-    mults = [side.count(f) for f in distinct]
-    for counts in itertools.product(*(range(m + 1) for m in mults)):
-        part: list[Formula] = []
-        rest: list[Formula] = []
-        for f, m, k in zip(distinct, mults, counts):
-            part.extend([f] * k)
-            rest.extend([f] * (m - k))
-        yield tuple(part), tuple(rest)
+def _pair_key(pair: tuple[Formula, int]) -> tuple:
+    return pair[0].sort_key
 
 
 # ---------------------------------------------------------------------------
@@ -324,67 +372,139 @@ def fold_proof(p, node, children=attrgetter("children")):
 
 def axiom_check(s: Sequent) -> bool:
     """Literal identity only; compound identity must be derived."""
-    return (
-        len(s.antecedent) == 1
-        and len(s.succedent) == 1
-        and s.antecedent[0] == s.succedent[0]
-        and is_literal(s.antecedent[0])
-    )
+    ante = s.ante_counts
+    return len(ante) == 1 and ante[0][1] == 1 and ante == s.succ_counts and is_literal(ante[0][0])
 
 
-# formula -> the literals occurring in it, for as long as the formula lives
-_LITERALS: "weakref.WeakKeyDictionary[Formula, set]" = weakref.WeakKeyDictionary()
+# ---------------------------------------------------------------------------
+# literal relevance
+
+# formula -> the bits of the literals occurring in it, one bit per literal,
+# for as long as the formula lives.  A literal that dies gives its bit back:
+# every formula whose mask holds that bit held the literal too.
+_MASKS: "weakref.WeakKeyDictionary[Formula, int]" = weakref.WeakKeyDictionary()
+_SPARE_BITS: list[int] = []
+_FRESH_BITS = map((1).__lshift__, itertools.count())
+
+
+def _new_bit(lit: Formula) -> int:
+    try:
+        bit = _SPARE_BITS.pop()
+    except IndexError:
+        bit = next(_FRESH_BITS)
+    weakref.finalize(lit, _SPARE_BITS.append, bit)
+    return bit
+
+
+def _mask(f: Formula) -> int:
+    mask = _MASKS.get(f)
+    if mask is None:
+        mask = _MASKS[f] = fold(f, _new_bit, lambda _f, l, r: l | r, _MASKS)
+    return mask
+
+
+def _masks(pairs: Counts) -> tuple[int, int]:
+    """The bits of a multiset's lone literals and of every literal occurring
+    in its formulas."""
+    lone = occurring = 0
+    for f, _ in pairs:
+        mask = _mask(f)
+        occurring |= mask
+        if is_literal(f):
+            lone |= mask
+    return lone, occurring
 
 
 def literal_refuted(s: Sequent) -> bool:
     """A lone literal on one side occurs nowhere on the other: with weakening
     and contraction off, the sequent then has no proof (CHANGES.md)."""
-    for side, other in ((s.antecedent, s.succedent), (s.succedent, s.antecedent)):
-        lone = [f for f in side if is_literal(f)]
-        seen = (fold(f, lambda lit: {lit}, lambda _f, l, r: l | r, _LITERALS) for f in other)
-        if lone and not set().union(*seen).issuperset(lone):
-            return True
-    return False
+    (ante_lone, ante_occurring), (succ_lone, succ_occurring) = _masks(s.ante_counts), _masks(s.succ_counts)
+    return bool(ante_lone & ~succ_occurring or succ_lone & ~ante_occurring)
 
 
-def _split_premises(side: str, rest: tuple[Formula, ...], passive: tuple[Formula, ...], f: Binary):
+# ---------------------------------------------------------------------------
+# enumeration
+
+# A multiset with its :func:`_masks`: (pairs, lone bits, occurring bits).
+_Half = tuple[Counts, int, int]
+
+
+def _add(half: _Half, g: Formula, n: int, lone: int, occurring: int) -> _Half:
+    """``half`` with ``n`` copies of ``g``, which sorts after its formulas."""
+    pairs, half_lone, half_occurring = half
+    return (pairs + ((g, n),), half_lone | lone, half_occurring | occurring) if n else half
+
+
+def _splits(pairs: Counts, first: Optional[Formula] = None, second: Optional[Formula] = None) -> list:
+    """Every (part, rest) split of a multiset, as two :data:`_Half`.  The
+    splits come in product order: each formula's count in ``part`` runs up
+    from 0, the first formula's slowest.  ``first`` joins every part and
+    ``second`` every rest."""
+    counts = dict(pairs)
+    domain = dict.fromkeys([*counts, *(g for g in (first, second) if g is not None)])
+    splits: list[tuple[_Half, _Half]] = [(((), 0, 0), ((), 0, 0))]
+    for g in sorted(domain, key=sort_key):
+        m, one, two = counts.get(g, 0), int(g is first), int(g is second)
+        occurring = _mask(g)
+        lone = occurring if is_literal(g) else 0
+        splits = [
+            (_add(part, g, k + one, lone, occurring), _add(rest, g, m - k + two, lone, occurring))
+            for part, rest in splits
+            for k in range(m + 1)
+        ]
+    return splits
+
+
+def _split_premises(side: str, rest: Counts, passive: Counts, f: Binary, prune: Optional[Callable]):
     """Both premises of a context-splitting rule, for every split of the
-    contexts; the antecedent split is the outer loop on either side."""
-    ante, succ = (rest, passive) if side == LEFT else (passive, rest)
-    for (a1, a2), (s1, s2) in itertools.product(_submultisets(ante), _submultisets(succ)):
-        if side == LEFT:
-            yield Sequent(a1 + (f.left,), s1), Sequent(a2 + (f.right,), s2)
-        else:
-            yield Sequent(a1, s1 + (f.left,)), Sequent(a2, s2 + (f.right,))
+    contexts; the antecedent split is the outer loop on either side.  With
+    ``prune``, a split with a literal-refuted premise is skipped, and
+    ``prune()`` called, before either premise is built."""
+    if side == LEFT:
+        ante_splits, succ_splits = _splits(rest, f.left, f.right), _splits(passive)
+    else:
+        ante_splits, succ_splits = _splits(passive), _splits(rest, f.left, f.right)
+    for (a1, a1_lone, a1_occ), (a2, a2_lone, a2_occ) in ante_splits:
+        for (s1, s1_lone, s1_occ), (s2, s2_lone, s2_occ) in succ_splits:
+            # literal_refuted of premise 1, then of premise 2
+            if prune is not None and (
+                a1_lone & ~s1_occ or s1_lone & ~a1_occ or a2_lone & ~s2_occ or s2_lone & ~a2_occ
+            ):
+                prune()
+                continue
+            yield _sequent(a1, s1), _sequent(a2, s2)
 
 
-def rule_instances(s: Sequent, cfg: LogicConfig) -> Iterator[RuleInstance]:
+def rule_instances(
+    s: Sequent, cfg: LogicConfig, prune: Optional[Callable[[], object]] = None
+) -> Iterator[RuleInstance]:
     """Every backward-applicable instance with conclusion ``s``, lazily.
 
     Principal choices and, for the context-splitting rules, all multiset
     partitions of the side contexts are generated in a fixed order, so a
     caller that stops early never builds the instances after that point.
+    With ``prune``, the splits with a :func:`literal_refuted` premise are left
+    out, ``prune()`` is called once for each, and the rest keep their order.
     """
-    distinct = {LEFT: _distinct(s.antecedent), RIGHT: _distinct(s.succedent)}
     for name in RULE_ORDER:
         rule = RULES[name]
         if not cfg.rule_enabled(name):
             continue
         if rule.kind == AXIOM:
             if axiom_check(s):
-                yield RuleInstance(name, s, (), s.antecedent[0])
+                yield RuleInstance(name, s, (), s.ante_counts[0][0])
             continue
-        active, passive = s.side(rule.side), s.side(_OTHER[rule.side])
-        for f in distinct[rule.side]:
+        active, passive = s.counts(rule.side), s.counts(_OTHER[rule.side])
+        for i, (f, _) in enumerate(active):
             if not _can_be_principal(rule, f):
                 continue
-            rest = _remove_one(active, f)
+            rest = _minus(active, i)
             if rule.kind == SPLIT:
-                splits = _split_premises(rule.side, rest, passive, f)
+                splits = _split_premises(rule.side, rest, passive, f, prune)
                 yield from (RuleInstance(name, s, premises, f) for premises in splits)
             else:
                 premises = tuple(
-                    _orient(rule.side, rest + new(f), passive) for new in _REPLACEMENTS[rule.kind]
+                    _orient(rule.side, _plus(rest, new(f)), passive) for new in _REPLACEMENTS[rule.kind]
                 )
                 yield RuleInstance(name, s, premises, f)
 
@@ -424,30 +544,28 @@ def _instance_ok(inst: RuleInstance, cfg: LogicConfig) -> Optional[str]:
         return None
 
     side, other = rule.side, _OTHER[rule.side]
-    active = c.side(side)
+    active = Counter(c.side(side))
     principals = [
-        f
-        for f in _distinct(active)
-        if _can_be_principal(rule, f) and (recorded is None or recorded == f)
+        f for f in active if _can_be_principal(rule, f) and (recorded is None or recorded == f)
     ]
     if rule.kind == SPLIT:
         p1, p2 = prem
+        one, two = Counter(p1.side(side)), Counter(p2.side(side))
+        # one = ctx1 + f.left and two = ctx2 + f.right, where ctx1 + ctx2 = active - f
         for f in principals:
-            if f.left not in p1.side(side) or f.right not in p2.side(side):
+            if not (one[f.left] and two[f.right]):
                 continue
-            split_ok = _union(
-                _remove_one(p1.side(side), f.left), _remove_one(p2.side(side), f.right)
-            ) == _remove_one(active, f)
-            if split_ok and _union(p1.side(other), p2.side(other)) == c.side(other):
+            split_ok = one + two == active - Counter((f,)) + Counter((f.left, f.right))
+            if split_ok and Counter(p1.side(other)) + Counter(p2.side(other)) == Counter(c.side(other)):
                 return None
         return f"{name}: premises do not split the context of any principal formula"
 
     if any(p.side(other) != c.side(other) for p in prem):
         return f"{name}: passive side must be unchanged"
     for f in principals:
-        rest = _remove_one(active, f)
-        expected = (_union(rest, new(f)) for new in _REPLACEMENTS[rule.kind])
-        if all(p.side(side) == e for p, e in zip(prem, expected)):
+        rest = active - Counter((f,))
+        expected = (rest + Counter(new(f)) for new in _REPLACEMENTS[rule.kind])
+        if all(Counter(p.side(side)) == e for p, e in zip(prem, expected)):
             return None
     return f"{name}: no principal formula matches the premises"
 

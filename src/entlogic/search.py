@@ -66,12 +66,14 @@ class SearchStats:
     max_depth: int
     # deterministic work counters: rule instances generated, answers taken
     # from a memo table, branches cut by the depth or height budget, sequents
-    # refuted by their literals, and invertible instances committed to
+    # refuted by their literals, invertible instances committed to, and
+    # splits skipped for a literal-refuted premise
     instances: int = 0
     memo_hits: int = 0
     cuts: int = 0
     refuted: int = 0
     committed: int = 0
+    pruned: int = 0
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,11 @@ class _Search:
         self.cuts = 0
         self.refuted = 0
         self.committed = 0
-        # the prunings hold in the contraction-free regimes only (CHANGES.md)
+        self.pruned = 0
+        # the prunings hold in the contraction-free regimes only (CHANGES.md);
+        # where literal refutation holds, no split is built with a refuted premise
         self.refute, self.commit = not (cfg.weakening or cfg.contraction), not cfg.contraction
+        self.prune = self._count_pruned if self.refute else None
 
     def run(self, goal: Sequent) -> tuple[Optional[ProofTree], Optional[str]]:
         top = self.limits.max_depth
@@ -217,7 +222,7 @@ class _Search:
             self.fail_at[seq] = _INF
             return None
         cuts_before = self.cuts
-        for inst in rule_instances(seq, self.cfg):
+        for inst in rule_instances(seq, self.cfg, self.prune):
             self.instances += 1
             children: list[ProofTree] = []
             for premise in inst.premises:
@@ -242,8 +247,11 @@ class _Search:
             self.fail_at[seq] = budget
         return None
 
+    def _count_pruned(self) -> None:
+        self.pruned += 1
+
     def stats(self) -> SearchStats:
-        counters = (self.instances, self.memo_hits, self.cuts, self.refuted, self.committed)
+        counters = (self.instances, self.memo_hits, self.cuts, self.refuted, self.committed, self.pruned)
         return SearchStats(self.nodes, self.deepest, *counters)
 
 

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
-from entlogic.formulas import Conn, PosAtom, qubit_of
-from entlogic.kernel import LogicConfig, check_proof, literal_refuted, rule_instances
+from entlogic.formulas import Conn, PosAtom, fold, is_literal, qubit_of
+from entlogic.kernel import RULES, SPLIT, LogicConfig, check_proof, literal_refuted, rule_instances
 from entlogic.search import (
     GoalRejectedError,
     SearchLimits,
@@ -17,6 +19,7 @@ from strategies import sequents
 
 import oracle
 from conftest import BASIC, BASIC_EXPAND, CLASSICAL, CONTR_ONLY, LINEAR, WEAK_ONLY
+from test_acceptance import _enumerated_family
 
 
 def seq(text):
@@ -369,6 +372,63 @@ def test_heavy_goal_prunes_below_the_exhaustive_search(cfg, exhaustive_nodes):
     assert result.is_not_provable and result.limit_hit is None
     assert result.stats.nodes_expanded < exhaustive_nodes
     assert result.stats.refuted > 0 and result.stats.committed > 0
+
+
+def _refuted_by_sets(s):
+    # literal refutation from its definition, independent of the kernel's masks
+    def literals(f):
+        return fold(f, lambda lit: {lit}, lambda _f, l, r: l | r)
+
+    for side, other in ((s.antecedent, s.succedent), (s.succedent, s.antecedent)):
+        if not {f for f in side if is_literal(f)} <= set().union(*map(literals, other)):
+            return True
+    return False
+
+
+def _assert_pruned_stream_is_the_relevant_part(s):
+    # the pruned stream is the full one less exactly the splits with a
+    # refuted premise, in the same order, and each skip is counted once
+    skips = []
+    pruned = list(rule_instances(s, BASIC, lambda: skips.append(None)))
+    full = list(rule_instances(s, BASIC))
+    for inst in full:
+        for premise in inst.premises:
+            assert literal_refuted(premise) == _refuted_by_sets(premise)
+    doomed = [
+        RULES[inst.rule].kind == SPLIT and any(map(literal_refuted, inst.premises)) for inst in full
+    ]
+    assert pruned == [inst for inst, skip in zip(full, doomed) if not skip]
+    assert len(skips) == sum(doomed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequents(max_per_side=3, max_depth=2))
+def test_pruned_splits_are_exactly_the_doomed_ones(s):
+    _assert_pruned_stream_is_the_relevant_part(s)
+
+
+def test_pruned_splits_are_exactly_the_doomed_ones_on_the_family():
+    goals = random.Random(11).sample(list(_enumerated_family()), 400)
+    for s in goals:
+        _assert_pruned_stream_is_the_relevant_part(s)
+        _assert_pruned_stream_is_the_relevant_part(expand_sequent(s))
+
+
+SPLITS_HEAVY = (
+    "((~B & B) $ Q(A)) par ~B, (~B & B) $ Q(B)"
+    " |- ((~A & A) $ (~B | B)) * (A | B), (B | ~B) @ (~B | B)"
+)
+
+
+def test_dominant_splits_goal_builds_fewer_splits():
+    # the costliest goal of perfbench splits: 8,471 nodes and 95,802
+    # instances when every split is built
+    clear_memo()
+    goal = seq(SPLITS_HEAVY)
+    result = prove(goal, BASIC)
+    assert result.is_not_provable and result.limit_hit is None
+    assert not oracle.provable(goal)
+    assert result.stats.nodes_expanded < 8_471 and result.stats.pruned > 0
 
 
 @pytest.mark.parametrize("text", ["A |- B par A", "(A * B) & A |- A", "|- A & B, ~A par ~B"])
