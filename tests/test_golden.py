@@ -5,9 +5,10 @@ derivation followed by its mechanical dual, separated by blank lines; the 28
 trees use all 19 rules.  The enumeration pins fix the rule-name sequence that
 ``rule_instances`` generates for one small sequent per rule kind.
 ``golden_search.txt`` pins what ``prove`` returns (verdict, limit, node count,
-depth reached, the ``instances``, ``memo_hits``, ``cuts``, ``refuted`` and
-``committed`` work counters and the text proof) on a fixed goal set under five configurations, plus one
-depth-limited sequence that shares the memo across calls.  The counters pin
+depth reached, the ``instances``, ``memo_hits``, ``cuts``, ``refuted``,
+``committed`` and ``pruned`` work counters and the text proof) on a fixed
+goal set under five configurations, plus one depth-limited sequence that
+shares the memo across calls.  The counters pin
 the work done, not only its outcome, so a change to the search loop that
 keeps every verdict but visits sequents in another order shows here.
 ``golden_formulas.txt`` pins the formula maps and printers on every formula
@@ -112,7 +113,7 @@ def _entry(label, goal, result) -> str:
         f"== {label} | {print_sequent(goal)}",
         f"{result.verdict} limit={result.limit_hit} nodes={s.nodes_expanded} depth={s.max_depth}"
         f" instances={s.instances} memo_hits={s.memo_hits} cuts={s.cuts}"
-        f" refuted={s.refuted} committed={s.committed}",
+        f" refuted={s.refuted} committed={s.committed} pruned={s.pruned}",
     ]
     return "\n".join(head + ([print_proof(result.proof, "text")] if result.proof else []))
 
