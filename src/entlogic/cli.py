@@ -332,12 +332,15 @@ def _add_command(sub, name, handler, formats=("text", "json"), search=(), **kwar
     return p
 
 
-def _misplaced_format(_value: str):
-    # the group takes no --format; without this, argparse reads its value as
-    # the quantum command and reports that as an invalid choice
-    raise argparse.ArgumentTypeError(
-        "give it after clone or separable, as in: quantum clone --format json zero"
-    )
+def _refused(hint: str):
+    """An argparse type that rejects every value with ``hint``.  The quantum
+    group takes no options: without one of these, argparse reads an option's
+    value as the quantum command and reports that as an invalid choice."""
+
+    def refuse(_value: str):
+        raise argparse.ArgumentTypeError(hint)
+
+    return refuse
 
 
 def _build_parser() -> _Parser:
@@ -362,7 +365,11 @@ def _build_parser() -> _Parser:
     _add_command(sub, "report-matrix", _cmd_report_matrix, search=matrix_search, help="all connectives x presets")
 
     p = sub.add_parser("quantum", help="state-vector oracle")
-    p.add_argument("--format", type=_misplaced_format, help=argparse.SUPPRESS)
+    where = "give it after clone or separable, as in: quantum clone --format json zero"
+    p.add_argument("--format", type=_refused(where), help=argparse.SUPPRESS)
+    refuse_search = _refused("the quantum commands take no search options")
+    for option in _SEARCH_OPTIONS:
+        p.add_argument(option, type=refuse_search, help=argparse.SUPPRESS)
     q_sub = p.add_subparsers(dest="quantum_command", required=True)
     p = _add_command(q_sub, "clone", _cmd_clone)
     p.add_argument("state", nargs="+", help="zero | one | cat | custom aRe aIm bRe bIm")

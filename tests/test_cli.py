@@ -314,6 +314,16 @@ def test_format_before_the_quantum_command_is_named(capsys):
     assert "--format" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("option", _SEARCH_OPTIONS, ids=lambda option: option[0])
+def test_search_option_before_the_quantum_command_is_named(capsys, option):
+    code, out, err = run(capsys, "quantum", *option, "clone", "zero")
+    assert (code, out) == (64, "")
+    assert err == f"error: argument {option[0]}: the quantum commands take no search options\n"
+    with pytest.raises(SystemExit):
+        run(capsys, "quantum", "-h")
+    assert option[0] not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [("selfref", "@", "--logic", "classical"), ("report-matrix",)])
 def test_analysis_left_open_by_a_limit_exits_2(capsys, argv):
     # an indeterminate idempotence verdict is a search limit, not a crash (70)
