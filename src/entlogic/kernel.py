@@ -418,7 +418,8 @@ def _masks(pairs: Counts) -> tuple[int, int]:
 def literal_refuted(s: Sequent) -> bool:
     """A lone literal on one side occurs nowhere on the other: with weakening
     and contraction off, the sequent then has no proof (CHANGES.md)."""
-    (ante_lone, ante_occurring), (succ_lone, succ_occurring) = _masks(s.ante_counts), _masks(s.succ_counts)
+    ante_lone, ante_occurring = _masks(s.ante_counts)
+    succ_lone, succ_occurring = _masks(s.succ_counts)
     return bool(ante_lone & ~succ_occurring or succ_lone & ~ante_occurring)
 
 
@@ -441,9 +442,8 @@ def _splits(pairs: Counts, first: Optional[Formula] = None, second: Optional[For
     from 0, the first formula's slowest.  ``first`` joins every part and
     ``second`` every rest."""
     counts = dict(pairs)
-    domain = dict.fromkeys([*counts, *(g for g in (first, second) if g is not None)])
     splits: list[tuple[_Half, _Half]] = [(((), 0, 0), ((), 0, 0))]
-    for g in sorted(domain, key=sort_key):
+    for g in sorted({*counts, first, second} - {None}, key=sort_key):
         m, one, two = counts.get(g, 0), int(g is first), int(g is second)
         occurring = _mask(g)
         lone = occurring if is_literal(g) else 0
@@ -455,7 +455,9 @@ def _splits(pairs: Counts, first: Optional[Formula] = None, second: Optional[For
     return splits
 
 
-def _split_premises(side: str, rest: Counts, passive: Counts, f: Binary, prune: Optional[Callable]):
+def _split_premises(
+    side: str, rest: Counts, passive: Counts, f: Binary, prune: Optional[Callable[[], object]]
+):
     """Both premises of a context-splitting rule, for every split of the
     contexts; the antecedent split is the outer loop on either side.  With
     ``prune``, a split with a literal-refuted premise is skipped, and
