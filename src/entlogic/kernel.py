@@ -14,10 +14,8 @@ and rule gating all read those rows.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, field
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -44,9 +42,9 @@ Counts = tuple[tuple[Formula, int], ...]
 
 def _counted(formulas: Iterable[Formula]) -> Counts:
     counts: dict[Formula, int] = {}
-    for f in formulas:
+    for f in sorted(formulas, key=sort_key):
         counts[f] = counts.get(f, 0) + 1
-    return tuple(sorted(counts.items(), key=lambda pair: pair[0].sort_key))
+    return tuple(counts.items())
 
 
 def _flat(pairs: Counts) -> tuple[Formula, ...]:
@@ -379,27 +377,27 @@ def axiom_check(s: Sequent) -> bool:
 # ---------------------------------------------------------------------------
 # literal relevance
 
-# formula -> the bits of the literals occurring in it, one bit per literal,
-# for as long as the formula lives.  A literal that dies gives its bit back:
-# every formula whose mask holds that bit held the literal too.
+# (literal class, atom name) -> the literal's bit in the relevance masks,
+# one for each literal seen in the process; a formula's mask is the union of
+# its literals' bits, kept for compound formulas as long as they live
+_BITS: dict[tuple[type, str], int] = {}
 _MASKS: "weakref.WeakKeyDictionary[Formula, int]" = weakref.WeakKeyDictionary()
-_SPARE_BITS: list[int] = []
-_FRESH_BITS = map((1).__lshift__, itertools.count())
 
 
-def _new_bit(lit: Formula) -> int:
-    try:
-        bit = _SPARE_BITS.pop()
-    except IndexError:
-        bit = next(_FRESH_BITS)
-    weakref.finalize(lit, _SPARE_BITS.append, bit)
+def _bit(lit: Formula) -> int:
+    key = (type(lit), lit.name)
+    bit = _BITS.get(key)
+    if bit is None:
+        bit = _BITS[key] = 1 << len(_BITS)
     return bit
 
 
 def _mask(f: Formula) -> int:
+    if not isinstance(f, Binary):
+        return _bit(f)
     mask = _MASKS.get(f)
     if mask is None:
-        mask = _MASKS[f] = fold(f, _new_bit, lambda _f, l, r: l | r, _MASKS)
+        mask = _MASKS[f] = fold(f, _bit, lambda _f, l, r: l | r, _MASKS)
     return mask
 
 
@@ -525,6 +523,14 @@ class CheckResult:
         return self.ok
 
 
+def _bag(first: Counts, second: Counts = (), formulas: Iterable[Formula] = ()) -> dict[Formula, int]:
+    """The multiset sum of two count vectors and some formulas."""
+    bag: dict[Formula, int] = {}
+    for f, n in (*first, *second, *((g, 1) for g in formulas)):
+        bag[f] = bag.get(f, 0) + n
+    return bag
+
+
 def _instance_ok(inst: RuleInstance, cfg: LogicConfig) -> Optional[str]:
     """None when valid, else a reason string.  Validation is independent of
     the enumeration in :func:`rule_instances`: it solves multiset equations
@@ -546,28 +552,29 @@ def _instance_ok(inst: RuleInstance, cfg: LogicConfig) -> Optional[str]:
         return None
 
     side, other = rule.side, _OTHER[rule.side]
-    active = Counter(c.side(side))
+    active = c.counts(side)
     principals = [
-        f for f in active if _can_be_principal(rule, f) and (recorded is None or recorded == f)
+        f for f, _ in active if _can_be_principal(rule, f) and (recorded is None or recorded == f)
     ]
+    # each equation adds the principal formula to the premises' side and its
+    # replacement to the conclusion's, so both sides are sums of multisets
     if rule.kind == SPLIT:
         p1, p2 = prem
-        one, two = Counter(p1.side(side)), Counter(p2.side(side))
-        # one = ctx1 + f.left and two = ctx2 + f.right, where ctx1 + ctx2 = active - f
+        one, two = p1.counts(side), p2.counts(side)
         for f in principals:
-            if not (one[f.left] and two[f.right]):
+            # one = ctx1 + f.left and two = ctx2 + f.right, where ctx1 + ctx2 = active - f
+            if f.left not in dict(one) or f.right not in dict(two):
                 continue
-            split_ok = one + two == active - Counter((f,)) + Counter((f.left, f.right))
-            if split_ok and Counter(p1.side(other)) + Counter(p2.side(other)) == Counter(c.side(other)):
+            split_ok = _bag(one, two, (f,)) == _bag(active, (), (f.left, f.right))
+            if split_ok and _bag(p1.counts(other), p2.counts(other)) == _bag(c.counts(other)):
                 return None
         return f"{name}: premises do not split the context of any principal formula"
 
-    if any(p.side(other) != c.side(other) for p in prem):
+    if any(p.counts(other) != c.counts(other) for p in prem):
         return f"{name}: passive side must be unchanged"
     for f in principals:
-        rest = active - Counter((f,))
-        expected = (rest + Counter(new(f)) for new in _REPLACEMENTS[rule.kind])
-        if all(Counter(p.side(side)) == e for p, e in zip(prem, expected)):
+        expected = (_bag(active, (), new(f)) for new in _REPLACEMENTS[rule.kind])
+        if all(_bag(p.counts(side), (), (f,)) == e for p, e in zip(prem, expected)):
             return None
     return f"{name}: no principal formula matches the premises"
 
