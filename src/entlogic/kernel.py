@@ -73,9 +73,6 @@ class Sequent:
     def succedent(self) -> tuple[Formula, ...]:
         return _flat(self.succ_counts)
 
-    def side(self, which: str) -> tuple[Formula, ...]:
-        return _flat(self.counts(which))
-
     def counts(self, which: str) -> Counts:
         return self.ante_counts if which == LEFT else self.succ_counts
 
