@@ -374,6 +374,15 @@ def axiom_check(s: Sequent) -> bool:
 # ---------------------------------------------------------------------------
 # literal relevance
 
+# With weakening off no rule deletes a formula or moves one across the
+# turnstile: a passive formula reaches some premise, and the principal
+# formula leaves a subformula on its side in some premise (one under &L and
+# |R, both under the other rules).  Followed upward, every formula of a
+# provable sequent thus ends at an axiom L |- L whose other L comes from a
+# formula of the other side.  So a sequent is refuted when a formula on one
+# side, literal or compound, shares no literal with the other side
+# (CHANGES.md).  The search applies this with contraction off too.
+
 # (literal class, atom name) -> the literal's bit in the relevance masks,
 # one for each literal seen in the process; a formula's mask is the union of
 # its literals' bits, kept for compound formulas as long as they live
@@ -398,37 +407,63 @@ def _mask(f: Formula) -> int:
     return mask
 
 
-def _masks(pairs: Counts) -> tuple[int, int]:
-    """The bits of a multiset's lone literals and of every literal occurring
-    in its formulas."""
+# A multiset with its relevance masks: (pairs, lone, occurring, compound).
+# ``lone`` has the bits of its lone literals, ``occurring`` every literal in
+# it, and ``compound`` is the distinct masks of its compound formulas.  A
+# literal's mask is its own bit, so all its lone literals are checked at once.
+_Half = tuple[Counts, int, int, tuple[int, ...]]
+
+_EMPTY: _Half = ((), 0, 0, ())
+
+
+def _half(pairs: Counts) -> _Half:
     lone = occurring = 0
+    compound: tuple[int, ...] = ()
     for f, _ in pairs:
         mask = _mask(f)
         occurring |= mask
         if is_literal(f):
             lone |= mask
-    return lone, occurring
+        elif mask not in compound:
+            compound += (mask,)
+    return pairs, lone, occurring, compound
+
+
+def _refuted(ante: _Half, succ: _Half) -> bool:
+    """Some formula of one side shares no literal with the other side."""
+    _, ante_lone, ante_occurring, ante_compound = ante
+    _, succ_lone, succ_occurring, succ_compound = succ
+    if ante_lone & ~succ_occurring or succ_lone & ~ante_occurring:
+        return True
+    for mask in ante_compound:
+        if not mask & succ_occurring:
+            return True
+    for mask in succ_compound:
+        if not mask & ante_occurring:
+            return True
+    return False
 
 
 def literal_refuted(s: Sequent) -> bool:
-    """A lone literal on one side occurs nowhere on the other: with weakening
-    and contraction off, the sequent then has no proof (CHANGES.md)."""
-    ante_lone, ante_occurring = _masks(s.ante_counts)
-    succ_lone, succ_occurring = _masks(s.succ_counts)
-    return bool(ante_lone & ~succ_occurring or succ_lone & ~ante_occurring)
+    """A formula on one side, literal or compound, shares no literal with the
+    other side: with weakening off, the sequent then has no proof."""
+    return _refuted(_half(s.ante_counts), _half(s.succ_counts))
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
-# A multiset with its :func:`_masks`: (pairs, lone bits, occurring bits).
-_Half = tuple[Counts, int, int]
 
-
-def _add(half: _Half, g: Formula, n: int, lone: int, occurring: int) -> _Half:
-    """``half`` with ``n`` copies of ``g``, which sorts after its formulas."""
-    pairs, half_lone, half_occurring = half
-    return (pairs + ((g, n),), half_lone | lone, half_occurring | occurring) if n else half
+def _add(half: _Half, g: Formula, n: int, mask: int, literal: bool) -> _Half:
+    """``half`` with ``n`` copies of ``g``, which sorts after its formulas and
+    has the mask ``mask``."""
+    if not n:
+        return half
+    pairs, lone, occurring, compound = half
+    pairs += ((g, n),)
+    if literal:
+        return pairs, lone | mask, occurring | mask, compound
+    return pairs, lone, occurring | mask, compound if mask in compound else compound + (mask,)
 
 
 def _splits(pairs: Counts, first: Optional[Formula] = None, second: Optional[Formula] = None) -> list:
@@ -437,13 +472,12 @@ def _splits(pairs: Counts, first: Optional[Formula] = None, second: Optional[For
     from 0, the first formula's slowest.  ``first`` joins every part and
     ``second`` every rest."""
     counts = dict(pairs)
-    splits: list[tuple[_Half, _Half]] = [(((), 0, 0), ((), 0, 0))]
+    splits: list[tuple[_Half, _Half]] = [(_EMPTY, _EMPTY)]
     for g in sorted({*counts, first, second} - {None}, key=sort_key):
         m, one, two = counts.get(g, 0), int(g is first), int(g is second)
-        occurring = _mask(g)
-        lone = occurring if is_literal(g) else 0
+        mask, literal = _mask(g), is_literal(g)
         splits = [
-            (_add(part, g, k + one, lone, occurring), _add(rest, g, m - k + two, lone, occurring))
+            (_add(part, g, k + one, mask, literal), _add(rest, g, m - k + two, mask, literal))
             for part, rest in splits
             for k in range(m + 1)
         ]
@@ -461,15 +495,12 @@ def _split_premises(
         ante_splits, succ_splits = _splits(rest, f.left, f.right), _splits(passive)
     else:
         ante_splits, succ_splits = _splits(passive), _splits(rest, f.left, f.right)
-    for (a1, a1_lone, a1_occ), (a2, a2_lone, a2_occ) in ante_splits:
-        for (s1, s1_lone, s1_occ), (s2, s2_lone, s2_occ) in succ_splits:
-            # literal_refuted of premise 1, then of premise 2
-            if prune is not None and (
-                a1_lone & ~s1_occ or s1_lone & ~a1_occ or a2_lone & ~s2_occ or s2_lone & ~a2_occ
-            ):
+    for a1, a2 in ante_splits:
+        for s1, s2 in succ_splits:
+            if prune is not None and (_refuted(a1, s1) or _refuted(a2, s2)):
                 prune()
                 continue
-            yield _sequent(a1, s1), _sequent(a2, s2)
+            yield _sequent(a1[0], s1[0]), _sequent(a2[0], s2[0])
 
 
 def rule_instances(

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from entlogic.formulas import Conn, PosAtom, fold, is_literal, qubit_of
+from entlogic.formulas import Conn, PosAtom, fold, qubit_of
 from entlogic.kernel import RULES, SPLIT, LogicConfig, check_proof, literal_refuted, rule_instances
 from entlogic.search import (
     GoalRejectedError,
@@ -346,6 +346,16 @@ def test_literal_refutation_is_not_literal_counting():
     assert literal_refuted(seq("A & B |- C"))
 
 
+def test_literal_refutation_covers_compound_formulas():
+    # B * C shares no literal with the succedent, though the lone literal A
+    # meets its twin there
+    assert literal_refuted(seq("A, B * C |- A"))
+    assert not oracle.provable(seq("A, B * C |- A"))
+    # some literal of A * B has a partner; that B has none is not counted
+    assert not literal_refuted(seq("A * B |- A"))
+    assert prove(seq("A * B |- A"), BASIC).is_not_provable
+
+
 @pytest.mark.parametrize("k", range(4, 13))
 def test_wide_context_is_refuted_at_the_root(k):
     # an exhaustive search builds 2^(k+2) split instances here, though no Ci
@@ -375,12 +385,14 @@ def test_heavy_goal_prunes_below_the_exhaustive_search(cfg, exhaustive_nodes):
 
 
 def _refuted_by_sets(s):
-    # literal refutation from its definition, independent of the kernel's masks
+    # literal refutation from its definition, independent of the kernel's
+    # masks: some formula shares no literal with the other side
     def literals(f):
         return fold(f, lambda lit: {lit}, lambda _f, l, r: l | r)
 
     for side, other in ((s.antecedent, s.succedent), (s.succedent, s.antecedent)):
-        if not {f for f in side if is_literal(f)} <= set().union(*map(literals, other)):
+        partners = set().union(*map(literals, other))
+        if any(not literals(f) & partners for f in side):
             return True
     return False
 
@@ -431,7 +443,7 @@ def test_dominant_splits_goal_builds_fewer_splits():
     assert result.stats.nodes_expanded < 8_471 and result.stats.pruned > 0
 
 
-@pytest.mark.parametrize("text", ["A |- B par A", "(A * B) & A |- A", "|- A & B, ~A par ~B"])
+@pytest.mark.parametrize("text", ["A |- B par A", "(A * B) & A |- A", "A, B |- A & B"])
 def test_invertible_commit_keeps_the_oracle_verdict(text):
     # parR, *L and &R each commit when a premise is refuted: the conclusion
     # is then unprovable, and a proof elsewhere in the goal is still found
