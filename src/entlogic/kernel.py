@@ -417,6 +417,8 @@ _EMPTY: _Half = ((), 0, 0, ())
 
 
 def _half(pairs: Counts) -> _Half:
+    """The half :func:`_add` would build from ``pairs``, without rebuilding
+    them (this runs once per node)."""
     lone = occurring = 0
     compound: tuple[int, ...] = ()
     for f, _ in pairs:

@@ -344,16 +344,17 @@ def test_literal_refutation_is_not_literal_counting():
     assert not literal_refuted(seq("A & B |- A"))
     assert prove(seq("A & B |- A"), BASIC).is_provable
     assert literal_refuted(seq("A & B |- C"))
+    # some literal of a formula must have a partner: B has none in A * B,
+    # and the goal is unprovable, but the check does not count literals
+    assert not literal_refuted(seq("A * B |- A"))
+    assert prove(seq("A * B |- A"), BASIC).is_not_provable
 
 
 def test_literal_refutation_covers_compound_formulas():
-    # B * C shares no literal with the succedent, though the lone literal A
-    # meets its twin there
+    # the lone literal A meets its twin, but B * C shares no literal with
+    # the succedent
     assert literal_refuted(seq("A, B * C |- A"))
     assert not oracle.provable(seq("A, B * C |- A"))
-    # some literal of A * B has a partner; that B has none is not counted
-    assert not literal_refuted(seq("A * B |- A"))
-    assert prove(seq("A * B |- A"), BASIC).is_not_provable
 
 
 @pytest.mark.parametrize("k", range(4, 13))
