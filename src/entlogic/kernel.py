@@ -377,17 +377,29 @@ def axiom_check(s: Sequent) -> bool:
 # With weakening off no rule deletes a formula or moves one across the
 # turnstile: a passive formula reaches some premise, and the principal
 # formula leaves a subformula on its side in some premise (one under &L and
-# |R, both under the other rules).  Followed upward, every formula of a
-# provable sequent thus ends at an axiom L |- L whose other L comes from a
-# formula of the other side.  So a sequent is refuted when a formula on one
-# side, literal or compound, shares no literal with the other side
-# (CHANGES.md).  The search applies this with contraction off too.
+# |R, both under the other rules).  Followed upward, a formula of a provable
+# sequent thus ends at axioms L |- L whose other L comes from a formula of
+# the other side: a literal needs a twin there, &L and |R need it for one
+# subformula, and the other connectives for both.  That requirement is a
+# conjunction of clauses "the other side has a literal of this mask", and a
+# sequent is refuted when a clause of one of its formulas fails (CHANGES.md).
+# The search applies this with contraction off too.
 
 # (literal class, atom name) -> the literal's bit in the relevance masks,
-# one for each literal seen in the process; a formula's mask is the union of
-# its literals' bits, kept for compound formulas as long as they live
+# one for each literal seen in the process
 _BITS: dict[tuple[type, str], int] = {}
-_MASKS: "weakref.WeakKeyDictionary[Formula, int]" = weakref.WeakKeyDictionary()
+
+# side -> formula -> (the union of its literals' bits, its minimal clauses on
+# that side), kept as long as the formula lives.  A node with more than
+# _CAP clauses keeps the one clause of its whole mask instead, a weaker
+# requirement that still holds, so a left &-chain of (Ai | Bi) stays small.
+_CAP = 16
+_CLAUSES: "dict[str, weakref.WeakKeyDictionary[Formula, tuple[int, tuple[int, ...]]]]" = {
+    LEFT: weakref.WeakKeyDictionary(),
+    RIGHT: weakref.WeakKeyDictionary(),
+}
+# the connective of which one subformula is enough, per side
+_EITHER = {LEFT: Conn.WITH, RIGHT: Conn.PLUS}
 
 
 def _bit(lit: Formula) -> int:
@@ -398,41 +410,68 @@ def _bit(lit: Formula) -> int:
     return bit
 
 
-def _mask(f: Formula) -> int:
-    if not isinstance(f, Binary):
-        return _bit(f)
-    mask = _MASKS.get(f)
-    if mask is None:
-        mask = _MASKS[f] = fold(f, _bit, lambda _f, l, r: l | r, _MASKS)
-    return mask
+def _leaf(lit: Formula) -> tuple[int, tuple[int, ...]]:
+    bit = _bit(lit)
+    return bit, (bit,)
+
+
+def _relevance(f: Formula, side: str) -> tuple[int, tuple[int, ...]]:
+    """``f``'s literal mask and its minimal clauses on ``side``."""
+    table = _CLAUSES[side]
+    found = table.get(f)
+    if found is None:
+        either = _EITHER[side]
+
+        def node(g: Binary, left: tuple, right: tuple) -> tuple[int, tuple[int, ...]]:
+            if g.conn is either:
+                clauses = [a | b for a in left[1] for b in right[1]]
+            else:
+                clauses = [*left[1], *right[1]]
+            mask = left[0] | right[0]
+            if len(clauses) > 1:  # keep the clauses no other clause is a subset of
+                minimal: list[int] = []
+                for c in sorted(clauses, key=int.bit_count):
+                    for k in minimal:
+                        if k & c == k:
+                            break
+                    else:
+                        minimal.append(c)
+                clauses = minimal if len(minimal) <= _CAP else [mask]
+            return mask, tuple(clauses)
+
+        found = table[f] = fold(f, _leaf, node, table)
+    return found
 
 
 # A multiset with its relevance masks: (pairs, lone, occurring, compound).
 # ``lone`` has the bits of its lone literals, ``occurring`` every literal in
-# it, and ``compound`` is the distinct masks of its compound formulas.  A
-# literal's mask is its own bit, so all its lone literals are checked at once.
+# it, and ``compound`` is the distinct clauses of its compound formulas.  A
+# literal's one clause is its own bit, so all its lone literals are checked
+# at once.
 _Half = tuple[Counts, int, int, tuple[int, ...]]
 
 _EMPTY: _Half = ((), 0, 0, ())
 
 
-def _half(pairs: Counts) -> _Half:
-    """The half :func:`_add` would build from ``pairs``, without rebuilding
-    them (this runs once per node)."""
+def _half(pairs: Counts, side: str) -> _Half:
+    """The half :func:`_add` would build from ``pairs`` on ``side``, without
+    rebuilding them (this runs once per node)."""
     lone = occurring = 0
     compound: tuple[int, ...] = ()
     for f, _ in pairs:
-        mask = _mask(f)
-        occurring |= mask
         if is_literal(f):
-            lone |= mask
-        elif mask not in compound:
-            compound += (mask,)
-    return pairs, lone, occurring, compound
+            lone |= _bit(f)
+            continue
+        mask, clauses = _relevance(f, side)
+        occurring |= mask
+        for c in clauses:
+            if c not in compound:
+                compound += (c,)
+    return pairs, lone, occurring | lone, compound
 
 
 def _refuted(ante: _Half, succ: _Half) -> bool:
-    """Some formula of one side shares no literal with the other side."""
+    """Some clause of a formula of one side has no literal on the other."""
     _, ante_lone, ante_occurring, ante_compound = ante
     _, succ_lone, succ_occurring, succ_compound = succ
     if ante_lone & ~succ_occurring or succ_lone & ~ante_occurring:
@@ -447,39 +486,47 @@ def _refuted(ante: _Half, succ: _Half) -> bool:
 
 
 def literal_refuted(s: Sequent) -> bool:
-    """A formula on one side, literal or compound, shares no literal with the
-    other side: with weakening off, the sequent then has no proof."""
-    return _refuted(_half(s.ante_counts), _half(s.succ_counts))
+    """A formula on one side cannot meet the other side's literals at axioms:
+    a literal has no twin there, or an ``&`` on the left or ``|`` on the right
+    neither of its subformulas can, or another compound formula one of its
+    subformulas.  With weakening off, the sequent then has no proof."""
+    return _refuted(_half(s.ante_counts, LEFT), _half(s.succ_counts, RIGHT))
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
 
-def _add(half: _Half, g: Formula, n: int, mask: int, literal: bool) -> _Half:
+def _add(half: _Half, g: Formula, n: int, relevance: tuple, literal: bool) -> _Half:
     """``half`` with ``n`` copies of ``g``, which sorts after its formulas and
-    has the mask ``mask``."""
+    has the mask and clauses ``relevance``."""
     if not n:
         return half
     pairs, lone, occurring, compound = half
+    mask, clauses = relevance
     pairs += ((g, n),)
     if literal:
         return pairs, lone | mask, occurring | mask, compound
-    return pairs, lone, occurring | mask, compound if mask in compound else compound + (mask,)
+    for c in clauses:
+        if c not in compound:
+            compound += (c,)
+    return pairs, lone, occurring | mask, compound
 
 
-def _splits(pairs: Counts, first: Optional[Formula] = None, second: Optional[Formula] = None) -> list:
-    """Every (part, rest) split of a multiset, as two :data:`_Half`.  The
-    splits come in product order: each formula's count in ``part`` runs up
-    from 0, the first formula's slowest.  ``first`` joins every part and
-    ``second`` every rest."""
+def _splits(
+    pairs: Counts, side: str, first: Optional[Formula] = None, second: Optional[Formula] = None
+) -> list:
+    """Every (part, rest) split of a multiset on ``side``, as two
+    :data:`_Half`.  The splits come in product order: each formula's count in
+    ``part`` runs up from 0, the first formula's slowest.  ``first`` joins
+    every part and ``second`` every rest."""
     counts = dict(pairs)
     splits: list[tuple[_Half, _Half]] = [(_EMPTY, _EMPTY)]
     for g in sorted({*counts, first, second} - {None}, key=sort_key):
         m, one, two = counts.get(g, 0), int(g is first), int(g is second)
-        mask, literal = _mask(g), is_literal(g)
+        relevance, literal = _relevance(g, side), is_literal(g)
         splits = [
-            (_add(part, g, k + one, mask, literal), _add(rest, g, m - k + two, mask, literal))
+            (_add(part, g, k + one, relevance, literal), _add(rest, g, m - k + two, relevance, literal))
             for part, rest in splits
             for k in range(m + 1)
         ]
@@ -494,9 +541,9 @@ def _split_premises(
     ``prune``, a split with a literal-refuted premise is skipped, and
     ``prune()`` called, before either premise is built."""
     if side == LEFT:
-        ante_splits, succ_splits = _splits(rest, f.left, f.right), _splits(passive)
+        ante_splits, succ_splits = _splits(rest, LEFT, f.left, f.right), _splits(passive, RIGHT)
     else:
-        ante_splits, succ_splits = _splits(passive), _splits(rest, f.left, f.right)
+        ante_splits, succ_splits = _splits(passive, LEFT), _splits(rest, RIGHT, f.left, f.right)
     for a1, a2 in ante_splits:
         for s1, s2 in succ_splits:
             if prune is not None and (_refuted(a1, s1) or _refuted(a2, s2)):

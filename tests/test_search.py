@@ -1,10 +1,14 @@
+import gc
 import random
+import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
 
-from entlogic.formulas import Conn, PosAtom, fold, qubit_of
-from entlogic.kernel import RULES, SPLIT, LogicConfig, check_proof, literal_refuted, rule_instances
+from entlogic import kernel
+from entlogic.formulas import Binary, Conn, NegAtom, PosAtom, fold, qubit_of
+from entlogic.kernel import RULES, SPLIT, LogicConfig, Sequent, check_proof, literal_refuted, rule_instances
 from entlogic.search import (
     GoalRejectedError,
     SearchLimits,
@@ -344,10 +348,14 @@ def test_literal_refutation_is_not_literal_counting():
     assert not literal_refuted(seq("A & B |- A"))
     assert prove(seq("A & B |- A"), BASIC).is_provable
     assert literal_refuted(seq("A & B |- C"))
-    # some literal of a formula must have a partner: B has none in A * B,
-    # and the goal is unprovable, but the check does not count literals
-    assert not literal_refuted(seq("A * B |- A"))
+    # both subformulas of A * B must meet a partner, and B has none
+    assert literal_refuted(seq("A * B |- A"))
     assert prove(seq("A * B |- A"), BASIC).is_not_provable
+    # one subformula is enough only under &L and |R
+    assert not literal_refuted(seq("A |- A | B"))
+    for text in ("A | B |- A", "A |- A & B", "(A * C) & B |- A"):
+        assert literal_refuted(seq(text))
+        assert not oracle.provable(seq(text))
 
 
 def test_literal_refutation_covers_compound_formulas():
@@ -355,6 +363,37 @@ def test_literal_refutation_covers_compound_formulas():
     # the succedent
     assert literal_refuted(seq("A, B * C |- A"))
     assert not oracle.provable(seq("A, B * C |- A"))
+
+
+def test_clause_sets_stay_within_the_cap():
+    # on the left, the &-chain of k disjunctions (Ai | Bi) has 2^k minimal
+    # clauses; a node past the cap keeps its whole mask as its one clause
+    chain = "(A0 | B0)"
+    for i in range(1, 20):
+        chain = f"({chain} & (A{i} | B{i}))"
+    start = time.perf_counter()
+    assert prove(seq(chain + " |- A0 | B0"), BASIC).is_provable
+    assert prove(seq(chain + " |- A0"), BASIC).is_not_provable
+    assert time.perf_counter() - start < 1.0
+    for table in kernel._CLAUSES.values():
+        assert all(len(clauses) <= kernel._CAP for _mask, clauses in table.values())
+
+
+def test_dead_formulas_leave_the_clause_tables():
+    def own(table):
+        def names(f):
+            return {getattr(x, "name", None) for x in (f, getattr(f, "left", None), getattr(f, "right", None))}
+
+        return [f for f in table if "Fresh_clause_only_here" in names(f)]
+
+    f = Binary(Conn.TIMES, PosAtom("Fresh_clause_only_here"), NegAtom("Fresh_clause_only_here"))
+    literal_refuted(Sequent((f,), (f,)))
+    assert [len(own(table)) for table in kernel._CLAUSES.values()] == [3, 3]
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+    assert [own(table) for table in kernel._CLAUSES.values()] == [[], []]
 
 
 @pytest.mark.parametrize("k", range(4, 13))
@@ -387,20 +426,31 @@ def test_heavy_goal_prunes_below_the_exhaustive_search(cfg, exhaustive_nodes):
 
 def _refuted_by_sets(s):
     # literal refutation from its definition, independent of the kernel's
-    # masks: some formula shares no literal with the other side
+    # clause masks: some formula cannot meet the other side's literals, where
+    # a literal needs its twin there, an & on the left or | on the right
+    # either subformula, and any other compound formula both
     def literals(f):
         return fold(f, lambda lit: {lit}, lambda _f, l, r: l | r)
 
-    for side, other in ((s.antecedent, s.succedent), (s.succedent, s.antecedent)):
+    def meets(f, either, partners):
+        return fold(
+            f, partners.__contains__, lambda g, l, r: (l or r) if g.conn is either else (l and r)
+        )
+
+    for side, other, either in (
+        (s.antecedent, s.succedent, Conn.WITH),
+        (s.succedent, s.antecedent, Conn.PLUS),
+    ):
         partners = set().union(*map(literals, other))
-        if any(not literals(f) & partners for f in side):
+        if not all(meets(f, either, partners) for f in side):
             return True
     return False
 
 
 def _assert_pruned_stream_is_the_relevant_part(s):
     # the pruned stream is the full one less exactly the splits with a
-    # refuted premise, in the same order, and each skip is counted once
+    # refuted premise, in the same order, and each skip is counted once; no
+    # formula here is large enough to reach the kernel's clause cap
     skips = []
     pruned = list(rule_instances(s, BASIC, lambda: skips.append(None)))
     full = list(rule_instances(s, BASIC))
@@ -444,10 +494,13 @@ def test_dominant_splits_goal_builds_fewer_splits():
     assert result.stats.nodes_expanded < 8_471 and result.stats.pruned > 0
 
 
-@pytest.mark.parametrize("text", ["A |- B par A", "(A * B) & A |- A", "A, B |- A & B"])
+@pytest.mark.parametrize(
+    "text", ["A * B |- A par B", "(A * B) & (A par B) |- A par B", "A, B |- A & B"]
+)
 def test_invertible_commit_keeps_the_oracle_verdict(text):
-    # parR, *L and &R each commit when a premise is refuted: the conclusion
-    # is then unprovable, and a proof elsewhere in the goal is still found
+    # *L, parR and &R each commit when a premise has failed outright: the
+    # conclusion is then unprovable, and a proof elsewhere in the goal (here
+    # through &L2, after &L1's branch commits) is still found
     clear_memo()
     result = prove(seq(text), BASIC)
     assert result.stats.committed > 0
