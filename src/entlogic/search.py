@@ -5,16 +5,19 @@ proof of height at most a budget, run over a sequence of budgets.  A round
 that cuts no branch at its budget has swept the whole space, so its failure
 is a definitive NotProvable.  With contraction disabled every rule's premises
 are strictly smaller than its conclusion, so a single round at the depth
-limit suffices; a formula that shares no literal with the other side
-(weakening off too) or a failed premise of an invertible rule then settles a
-sequent without a sweep.  With contraction enabled premises can grow and the
-space is usually infinite; the rounds then deepen the budget one step at a
-time (iterative deepening), which finds a minimal-height derivation whenever
-one exists and reports Unknown when a limit binds.  Repeated sequents along
-a branch need no dedicated loop check: a proof with such a repeat can always
-be shortened past it, and the budget already bounds every branch.  The
-search keeps its own stack of suspended frames, one per open sequent, so the
-height of a proof costs heap, not Python frames.
+limit suffices; a formula that cannot meet the other side's literals at
+axioms (weakening off too: a literal without its twin there, an ``&`` on the
+left or ``|`` on the right neither of whose subformulas can, another compound
+formula one of whose subformulas cannot) or a failed premise of an
+invertible rule then settles a sequent without a sweep.  With contraction
+enabled premises can grow and the space is usually infinite; the rounds then
+deepen the budget one step at a time (iterative deepening), which finds a
+minimal-height derivation whenever one exists and reports Unknown when a
+limit binds.  Repeated sequents along a branch need no dedicated loop check:
+a proof with such a repeat can always be shortened past it, and the budget
+already bounds every branch.  The search keeps its own stack of suspended
+frames, one per open sequent, so the height of a proof costs heap, not
+Python frames.
 """
 
 from __future__ import annotations
@@ -66,9 +69,9 @@ class SearchStats:
     max_depth: int
     # deterministic work counters: rule instances generated, answers taken
     # from a memo table, branches cut by the depth or height budget, sequents
-    # refuted by their literals (a formula on one side shares no literal with
-    # the other; weakening and contraction off), invertible instances
-    # committed to, and splits skipped for a literal-refuted premise
+    # refuted by their literals (a formula on one side cannot meet the other
+    # side's literals at axioms; weakening and contraction off), invertible
+    # instances committed to, and splits skipped for a literal-refuted premise
     instances: int = 0
     memo_hits: int = 0
     cuts: int = 0
