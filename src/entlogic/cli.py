@@ -11,6 +11,7 @@ All state comes from argv; identical invocations print identical bytes
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Optional
 
@@ -43,7 +44,6 @@ from .syntax import (
     print_proof,
     print_sequent,
     proof_to_dict,
-    to_json,
 )
 from . import quantum
 
@@ -78,6 +78,10 @@ def _limits(args) -> SearchLimits:
 
 def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
+
+
+def _emit_json(obj) -> None:
+    _emit(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _fmt_complex(z: complex) -> str:
@@ -142,7 +146,7 @@ def _cmd_prove(args) -> int:
                 "verdict": comparison[1].verdict,
                 "agree": comparison[1].verdict == result.verdict,
             }
-        _emit(to_json(payload))
+        _emit_json(payload)
     else:
         _emit(_verdict_message(result))
         if result.proof is not None:
@@ -163,7 +167,7 @@ def _cmd_expand(args) -> int:
     expanded = expand_connectives(f)
     if args.format == "json":
         payload = {"command": "expand", "input": print_formula(f), "expanded": print_formula(expanded)}
-        _emit(to_json(payload))
+        _emit_json(payload)
     elif args.format == "latex":
         _emit(formula_to_latex(expanded))
     else:
@@ -192,7 +196,7 @@ def _cmd_idempotence(args) -> int:
                 for res, rescue, undetermined in directions
             },
         }
-        _emit(to_json(payload))
+        _emit_json(payload)
     else:
         idem = {True: "yes", False: "no", None: "indeterminate"}[report.idempotent]
         _emit(f"connective: {token}")
@@ -212,7 +216,7 @@ def _cmd_selfref(args) -> int:
     token = args.connective
     report = build_report(token, _config(args), _limits(args))
     if args.format == "json":
-        _emit(to_json({"command": "selfref", **report_to_dict(report)}))
+        _emit_json({"command": "selfref", **report_to_dict(report)})
     else:
         d = report_to_dict(report)
         for key in (
@@ -235,7 +239,7 @@ def _cmd_selfref(args) -> int:
 def _cmd_report_matrix(args) -> int:
     rows = report_matrix(at_mode=args.at_mode, limits=_limits(args))
     if args.format == "json":
-        _emit(to_json([matrix_row_to_dict(r) for r in rows]))
+        _emit_json([matrix_row_to_dict(r) for r in rows])
     else:
         _emit(matrix_to_text(rows))
     return EX_OK
@@ -289,7 +293,7 @@ def _cmd_clone(args) -> int:
             "fidelity_with_intended": round(outcome.fidelity_with_intended, 12),
             "produced_separable": quantum.is_separable(outcome.produced),
         }
-        _emit(to_json(payload))
+        _emit_json(payload)
     else:
         _emit(f"input: {_fmt_state(psi)}")
         _emit(f"produced: {_fmt_state(outcome.produced)}")
@@ -304,7 +308,7 @@ def _cmd_separable(args) -> int:
     state = _parse_two_qubit_state(args.state)
     verdict = quantum.is_separable(state)
     if args.format == "json":
-        _emit(to_json({"command": "quantum separable", "state": _fmt_state(state), "separable": verdict}))
+        _emit_json({"command": "quantum separable", "state": _fmt_state(state), "separable": verdict})
     else:
         _emit(f"state: {_fmt_state(state)}")
         _emit(f"separable: {'true' if verdict else 'false'}")

@@ -174,7 +174,7 @@ def fold(f: Formula, leaf, node, value=None):
     frames, and each distinct subterm is evaluated once, left before right.
     ``value`` maps subterms to values already known, and the walk adds to it.
     """
-    if not isinstance(f, Binary):
+    if value is None and not isinstance(f, Binary):
         return leaf(f)  # a literal needs no table
     value = {} if value is None else value
     stack = [f]

@@ -17,7 +17,6 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass, field
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .formulas import (
@@ -344,20 +343,17 @@ class ProofTree:
         return print_proof(self, "text")
 
 
-def fold_proof(p, node, children=attrgetter("children")):
+def fold_proof(p, node):
     """Evaluate a proof tree bottom-up from an explicit stack: in post-order,
     ``node(x, values, depth)`` gets each node with its subtrees' values in
-    premise order and its distance from the root.  ``children`` reads a
-    node's subtrees, so the fold also walks the nested dicts of the JSON form.
-    """
+    premise order and its distance from the root."""
     values: list = []
     stack = [(p, 0, None)]
     while stack:
         x, depth, arity = stack.pop()
         if arity is None:  # first visit: come back once the subtrees are done
-            kids = children(x)
-            stack.append((x, depth, len(kids)))
-            for c in reversed(kids):
+            stack.append((x, depth, len(x.children)))
+            for c in reversed(x.children):
                 stack.append((c, depth + 1, None))
         else:
             start = len(values) - arity
@@ -663,17 +659,21 @@ def check_proof(p: ProofTree, cfg: LogicConfig) -> CheckResult:
     path to the first offending node and a reason.  Nodes are checked in
     pre-order, each against its parent's premise first.
     """
+    checked: set[ProofTree] = set()  # a later occurrence is compared with its premise only
     stack: list[tuple[ProofTree, tuple[int, ...], Optional[Sequent]]] = [(p, (), None)]
     while stack:
         tree, path, premise = stack.pop()
         if premise is not None and tree.conclusion != premise:
             return CheckResult(False, path, "child conclusion differs from premise")
+        if tree in checked:
+            continue
         reason = _instance_ok(tree.node, cfg)
         if reason is not None:
             return CheckResult(False, path, reason)
         premises = tree.node.premises
         if len(tree.children) != len(premises):
             return CheckResult(False, path, "children do not match premises")
+        checked.add(tree)
         for i in reversed(range(len(premises))):
             stack.append((tree.children[i], path + (i,), premises[i]))
     return CheckResult(True)

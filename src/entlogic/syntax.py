@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .formulas import (
     Binary,
@@ -31,8 +32,11 @@ from .formulas import (
     NegAtom,
     PosAtom,
     dual,
+    ent,
+    fold,
     is_qubit_shaped,
     qubit_of,
+    sec,
 )
 from . import kernel
 
@@ -298,112 +302,103 @@ def _latex_label(rule: str) -> str:
     return rule.replace("$", r"\$").replace("&", r"\&")
 
 
-def proof_to_dict(p: "kernel.ProofTree") -> dict:
-    def node(tree: "kernel.ProofTree", premises: list, _depth: int) -> dict:
-        return {"sequent": print_sequent(tree.conclusion), "rule": tree.node.rule, "premises": premises}
+# The proof tables' version, a literal's row, and the constructor of each
+# connective's row (@ and $ check their operands).
+PROOF_VERSION = 2
+_LITERAL_RE = re.compile(r"(~?)([A-Z][A-Za-z0-9_]*)\Z")
+_BUILD = {c.value: partial(Binary, c) for c in Conn} | {Conn.ENT.value: ent, Conn.SEC.value: sec}
 
-    return kernel.fold_proof(p, node)
+
+def proof_to_dict(p: "kernel.ProofTree") -> dict:
+    """The proof as flat tables whose indices point to earlier rows: a
+    ``formulas`` row is a literal's text or ``[conn, i, j]``, a ``sequents`` row
+    ``[[antecedent], [succedent]]``, a ``nodes`` row ``[sequent, rule, [premise
+    nodes]]``.  Each distinct formula, sequent and node is written once."""
+    tables: dict = {"formulas": [], "sequents": [], "nodes": []}
+    rows: dict = {}  # formula, sequent or node -> its row; also fold's value table
+
+    def row(table: str, value) -> int:
+        tables[table].append(value)
+        return len(tables[table]) - 1
+
+    def literal(lit: Formula) -> int:
+        return row("formulas", str(lit))
+
+    def binary(g: Binary, left: int, right: int) -> int:
+        return row("formulas", [g.conn.value, left, right])
+
+    stack = [p]
+    while stack:  # post-order over the distinct nodes
+        tree = stack[-1]
+        pending = [c for c in tree.children if c not in rows]
+        if pending:
+            stack += reversed(pending)
+        elif stack.pop() not in rows:
+            s = tree.conclusion
+            if s not in rows:
+                sides = (s.antecedent, s.succedent)
+                rows[s] = row("sequents", [[fold(f, literal, binary, rows) for f in side] for side in sides])
+            rows[tree] = row("nodes", [rows[s], tree.node.rule, [rows[c] for c in tree.children]])
+    return {"version": PROOF_VERSION, **tables, "root": rows[p]}
+
+
+def _index(ref, limit: int, what: str = "index") -> int:
+    if type(ref) is not int or not 0 <= ref < limit:  # Python would read -1 as the last row
+        raise ValueError(f"{what} {ref!r} is not in range({limit})")
+    return ref
+
+
+def _row(x, shape: str, length: int | None = None) -> list:
+    if type(x) is not list or length not in (None, len(x)):
+        raise ValueError(f"expected {shape}, got {x!r}")
+    return x
 
 
 def proof_from_dict(d: dict) -> "kernel.ProofTree":
-    def node(d: dict, children: list, _depth: int) -> "kernel.ProofTree":
-        inst = kernel.RuleInstance(
-            rule=d["rule"],
-            conclusion=parse_sequent(d["sequent"]),
-            premises=tuple(c.conclusion for c in children),
-            principal=None,
-        )
-        return kernel.ProofTree(inst, tuple(children))
+    """The proof :func:`proof_to_dict` wrote, rebuilt in one forward pass through
+    the constructors.  A malformed table raises :class:`ValueError` (or, for a
+    bad ``@``/``$`` operand, :class:`ShapeError`) naming the table and row."""
+    if type(d) is not dict or d.get("version") != PROOF_VERSION:
+        raise ValueError(f"proof version: expected {PROOF_VERSION}")
+    formulas, sequents, nodes = [], [], []
 
-    return kernel.fold_proof(d, node, lambda d: d.get("premises", []))
+    def formula(x, i: int) -> Formula:
+        if type(x) is str:
+            m = _LITERAL_RE.match(x)
+            if m is None:
+                raise ValueError(f"{x!r} is not a literal")
+            return (NegAtom if m[1] else PosAtom)(m[2])
+        conn, left, right = _row(x, "a literal or [conn, i, j]", 3)
+        if type(conn) is not str or conn not in _BUILD:
+            raise ValueError(f"unknown connective {conn!r}")
+        return _BUILD[conn](formulas[_index(left, i)], formulas[_index(right, i)])
+
+    def sequent(x, _i: int) -> "kernel.Sequent":
+        sides = _row(x, "[[antecedent], [succedent]]", 2)
+        ante, succ = ([formulas[_index(j, len(formulas))] for j in _row(side, "a list")] for side in sides)
+        return kernel.Sequent(ante, succ)
+
+    def node(x, i: int) -> "kernel.ProofTree":
+        s, rule, premises = _row(x, "[sequent, rule, [premise nodes]]", 3)
+        if type(rule) is not str:
+            raise ValueError(f"rule {rule!r} is not a string")
+        children = tuple(nodes[_index(j, i)] for j in _row(premises, "a list"))
+        conclusion = sequents[_index(s, len(sequents))]
+        inst = kernel.RuleInstance(rule, conclusion, tuple(c.conclusion for c in children))
+        return kernel.ProofTree(inst, children)
+
+    tables = ("formulas", formulas, formula), ("sequents", sequents, sequent), ("nodes", nodes, node)
+    for table, rows, build in tables:
+        for i, x in enumerate(_row(d.get(table), f"a list of {table}")):
+            try:
+                rows.append(build(x, i))
+            except ValueError as err:  # ShapeError keeps its class
+                raise type(err)(f"proof {table} row {i}: {err}") from None
+    return nodes[_index(d.get("root"), len(nodes), "proof root")]
 
 
 def proof_from_json(text: str) -> "kernel.ProofTree":
-    return proof_from_dict(from_json(text))
-
-
-def to_json(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` for string-keyed data, from
-    an explicit stack: the standard encoder recurses once per nesting level."""
-    out: list[str] = []
-    stack: list = [(obj, "\n")]  # pending text and (value, its line break)
-    while stack:
-        x = stack.pop()
-        if isinstance(x, str):
-            out.append(x)
-        elif not isinstance(x[0], (dict, list, tuple)) or not x[0]:
-            out.append(json.dumps(x[0]))
-        else:
-            value, newline = x
-            opening, closing = "{}" if isinstance(value, dict) else "[]"
-            items = sorted(value.items()) if opening == "{" else [(None, v) for v in value]
-            inner = newline + "  "
-            stack.append(newline + closing)
-            for i in reversed(range(len(items))):
-                key, v = items[i]
-                label = "" if key is None else json.dumps(key) + ": "
-                stack += (v, inner), ("," if i else opening) + inner + label
-    return "".join(out)
-
-
-# One match per token after JSON whitespace: a bracket, a separator, or a
-# scalar for json.loads to decode; BAD is a string left open or holding a
-# control character.
-_JSON_TOKEN_RE = re.compile(
-    r"""[ \t\n\r]*(?:
-    (?P<OPEN>[\[{]) | (?P<CLOSE>[]}]) | (?P<SEP>[,:])
-    | (?P<SCALAR>"[^"\\\x00-\x1f]*(?:\\.[^"\\\x00-\x1f]*)*" | [^ \t\n\r[\]{},:"]+)
-    | (?P<BAD>")
-    )""",
-    re.VERBOSE | re.DOTALL,
-)
-
-
-def from_json(text: str):
-    """``json.loads(text)`` from an explicit stack: the standard decoder
-    recurses once per nesting level.  Each scalar is decoded by ``json.loads``
-    on its own token, and malformed text raises ``json.JSONDecodeError``."""
-    # the open containers, each [the list or dict, its closing bracket, the
-    # key its next value goes under]
-    stack: list[list] = []
-    # what the next token may be: "value"; "[" or "{" just after one opened;
-    # "key"; ":"; or "end" after a value
-    want = "value"
-    for m in _JSON_TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        tok = m.group(kind)
-        if stack and tok == stack[-1][1] and want in ("end", "[", "{"):
-            value = stack.pop()[0]
-        elif want in ("value", "[") and kind == "OPEN":
-            stack.append([{}, "}", None] if tok == "{" else [[], "]", None])
-            want = tok
-            continue
-        elif want in ("value", "[") and kind == "SCALAR":
-            value = json.loads(tok)
-        elif want in ("key", "{") and kind == "SCALAR" and tok[0] == '"':
-            stack[-1][2] = json.loads(tok)
-            want = ":"
-            continue
-        elif want == ":" == tok:
-            want = "value"
-            continue
-        elif want == "end" and tok == "," and stack:
-            want = "key" if stack[-1][1] == "}" else "value"
-            continue
-        else:
-            raise json.JSONDecodeError(f"unexpected {tok!r}", text, m.start(kind))
-        if stack:  # the value goes into the innermost open container
-            container, closer, key = stack[-1]
-            if closer == "]":
-                container.append(value)
-            else:
-                container[key] = value
-        else:
-            result = value
-        want = "end"
-    if want != "end" or stack:
-        raise json.JSONDecodeError("unexpected end of text", text, len(text))
-    return result
+    return proof_from_dict(json.loads(text))
 
 
 def print_proof(p: "kernel.ProofTree", format: str = "text") -> str:
@@ -430,5 +425,5 @@ def print_proof(p: "kernel.ProofTree", format: str = "text") -> str:
         lines.append(r"\end{prooftree}")
         return "\n".join(lines)
     if format == "json":
-        return to_json(proof_to_dict(p))
+        return json.dumps(proof_to_dict(p), indent=2, sort_keys=True)
     raise ValueError(f"unknown proof format: {format!r}")

@@ -1,3 +1,6 @@
+import json
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -192,6 +195,29 @@ def test_proof_walkers_keep_their_own_stack_on_a_tall_proof():
     assert len(print_proof(tree, "text").splitlines()) == 5001
     assert len(print_proof(tree, "latex").splitlines()) == 10005
     assert check_proof(proof_from_dict(proof_to_dict(tree)), CLASSICAL)
+
+
+def test_shared_subproofs_are_checked_and_written_once():
+    # F(k+1) = Fk & Fk: every &R node has one subproof as both premises, so
+    # 41 distinct nodes stand for 2^40 occurrences.  The search's own
+    # re-check, the writer, the reader and the checker each walk the 41.
+    f = A
+    for _ in range(40):
+        f = Binary(Conn.WITH, f, f)
+    start = time.perf_counter()
+    tree = prove(Sequent.of((A,), (f,)), BASIC).proof
+    table = json.loads(print_proof(tree, "json"))
+    assert len(table["nodes"]) == tree.height() == 41
+    assert check_proof(proof_from_dict(table), BASIC)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_shared_subproof_is_compared_with_each_premise_it_stands_for():
+    axiom = ProofTree(RuleInstance("axiom", seq("A |- A"), (), A))
+    bad = ProofTree(RuleInstance("&R", seq("A |- A & B"), (seq("A |- A"), seq("A |- B"))), (axiom, axiom))
+    verdict = check_proof(bad, BASIC)
+    assert not verdict and verdict.path == (1,)
+    assert verdict.reason == "child conclusion differs from premise"
 
 
 def test_proof_tree_equality_hash_and_repr_do_not_recurse():

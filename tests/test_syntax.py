@@ -1,24 +1,22 @@
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
 
-from entlogic.formulas import Binary, Conn, NegAtom, PosAtom, dual, ent, qubit_of
+from entlogic.formulas import Binary, Conn, NegAtom, PosAtom, ShapeError, dual, ent, qubit_of
 from entlogic.kernel import LogicConfig, Sequent, check_proof
 from entlogic.search import prove
 from entlogic import syntax
 from entlogic.syntax import (
     ParseError,
-    from_json,
     parse_formula,
     parse_sequent,
     print_formula,
     print_proof,
     print_sequent,
+    proof_from_dict,
     proof_from_json,
     proof_to_dict,
-    to_json,
 )
 from strategies import formulas, sequents
 
@@ -169,54 +167,61 @@ def test_print_proof_json_round_trip(golden_proofs):
         rebuilt = proof_from_json(blob)
         verdict = check_proof(rebuilt, cfg)
         assert verdict, f"{verdict.reason} at {verdict.path}"
-        assert json.loads(blob)["rule"] == tree.node.rule
+        assert print_proof(rebuilt, "text") == print_proof(tree, "text")
+        table = json.loads(blob)
+        assert table["nodes"][table["root"]][1] == tree.node.rule
         assert blob == json.dumps(proof_to_dict(tree), indent=2, sort_keys=True)
 
 
-JSON_OBJECTS = [
-    {},
-    [],
-    (),
-    "x",
-    None,
-    2.5,
-    [[{}], ()],
-    {"b": [1, True], "a": {"é\"\\": None, "": [[]]}},
-    [-0.0, 1e300, float("nan"), float("-inf"), 10**30, False, "\x7f\n\ud800"],
-]
+def test_a_shared_subproof_is_one_node_row():
+    # the memo hands both &R premises the same subproof, at two levels
+    tree = prove(parse_sequent("A |- (A & A) & (A & A)"), LogicConfig.preset("basic")).proof
+    table = proof_to_dict(tree)
+    assert len(table["nodes"]) == 3 < sum(1 for _ in tree.iter_nodes()) == 7
+    rebuilt = proof_from_json(print_proof(tree, "json"))
+    assert rebuilt.children[0] is rebuilt.children[1]
+    assert print_proof(rebuilt, "text") == print_proof(tree, "text")
 
 
-@pytest.mark.parametrize("obj", JSON_OBJECTS)
-def test_to_json_writes_what_the_standard_encoder_writes(obj):
-    text = to_json(obj)
-    assert text == json.dumps(obj, indent=2, sort_keys=True)
-    # repr tells 1 from True and -0.0 from 0.0, and shows NaN equal to itself
-    assert repr(from_json(text)) == repr(json.loads(text))
+# A |- A & A by &R over one shared axiom, then one edit per case
+_TABLE = {
+    "version": 2,
+    "formulas": ["A", ["&", 0, 0]],
+    "sequents": [[[0], [0]], [[0], [1]]],
+    "nodes": [[0, "axiom", []], [1, "&R", [0, 0]]],
+    "root": 1,
+}
 
 
-def _json_outcome(read, text: str) -> str:
-    try:
-        return repr(read(text))
-    except ValueError:
-        return "ValueError"
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"version": None}, "proof version"),
+        ({"version": 1}, "proof version"),
+        ({"formulas": ["A", ["&", 0, 1]]}, r"proof formulas row 1: index 1 is not in range\(1\)"),
+        ({"formulas": ["A", ["&", 0, -1]]}, r"proof formulas row 1: index -1 is not in range\(1\)"),
+        ({"formulas": ["A", ["xor", 0, 0]]}, "proof formulas row 1: unknown connective 'xor'"),
+        ({"formulas": ["a", ["&", 0, 0]]}, "proof formulas row 0: 'a' is not a literal"),
+        ({"formulas": ["A", ["&", 0]]}, "proof formulas row 1: expected a literal or"),
+        ({"sequents": [[[0], [0]], [[0], [2]]]}, r"proof sequents row 1: index 2 is not in range\(2\)"),
+        ({"sequents": [[[0], [0]], [[0]]]}, "proof sequents row 1: expected"),
+        ({"nodes": [[0, "axiom", []], [1, "&R", [0, 1]]]}, r"proof nodes row 1: index 1 is not in range\(1\)"),
+        ({"nodes": [[0, "axiom", []], [2, "&R", [0, 0]]]}, r"proof nodes row 1: index 2 is not in range\(2\)"),
+        ({"nodes": [[0, "axiom"], [1, "&R", [0, 0]]]}, "proof nodes row 0: expected"),
+        ({"nodes": {}}, "expected a list of nodes"),
+        ({"root": -1}, r"proof root -1 is not in range\(2\)"),
+        ({"root": True}, "proof root True"),
+    ],
+)
+def test_proof_from_dict_rejects_a_malformed_table(edit, message):
+    assert check_proof(proof_from_dict(_TABLE), LogicConfig.preset("basic"))
+    with pytest.raises(ValueError, match=message):
+        proof_from_dict({**_TABLE, **edit})
 
 
-def test_from_json_rejects_exactly_what_the_standard_decoder_rejects():
-    rng = random.Random(3)
-    texts = [to_json(obj) for obj in JSON_OBJECTS] + [json.dumps(obj) for obj in JSON_OBJECTS]
-    alphabet = list('{}[],:" \t\n\x0b\\/-+.eE019') + [
-        "true", "null", "NaN", "-Infinity", "\\u00e9", "\\ud834", "é", "\x00", "\ufeff", "\u0661"
-    ]
-    rejected = 0
-    for _ in range(3000):
-        text = rng.choice(texts)
-        for _ in range(rng.randint(1, 3)):
-            i = rng.randint(0, len(text))
-            text = text[:i] + rng.choice([""] + alphabet) + text[i + rng.randint(0, 2):]
-        expected = _json_outcome(json.loads, text)
-        assert _json_outcome(from_json, text) == expected, text
-        rejected += expected == "ValueError"
-    assert rejected > 1000 and 3000 - rejected > 100  # both outcomes occur often
+def test_proof_from_dict_rejects_a_bad_entanglement_operand():
+    with pytest.raises(ShapeError, match="proof formulas row 1"):
+        proof_from_dict({**_TABLE, "formulas": ["A", ["@", 0, 0]]})
 
 
 def test_print_proof_unknown_format(golden_proofs):
