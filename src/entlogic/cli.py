@@ -319,8 +319,8 @@ def _cmd_separable(args) -> int:
 _SEARCH_OPTIONS = {
     "--logic": dict(choices=PRESETS, default="basic"),
     "--at-mode": dict(choices=(AT_PRIMITIVE, AT_EXPAND), default=AT_EXPAND),
-    "--max-depth": dict(type=int, default=SearchLimits.max_depth),
-    "--max-nodes": dict(type=int, default=SearchLimits.max_nodes),
+    "--max-depth": dict(type=int, default=SearchLimits().max_depth),
+    "--max-nodes": dict(type=int, default=SearchLimits().max_nodes),
 }
 _ALL_FORMATS = ("text", "latex", "json")
 

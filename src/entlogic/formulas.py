@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class Conn(Enum):
@@ -75,19 +74,33 @@ def _intern(cls, fields: tuple, sort_key: tuple):
     return _TERMS.setdefault((cls, *fields), term)
 
 
-class _Term:
+class Frozen:
+    """A slotted class whose fields are set once, through
+    ``object.__setattr__``.  Assignment and deletion raise the
+    ``FrozenInstanceError`` (an ``AttributeError``) of a frozen dataclass;
+    ``dataclasses`` is imported only then, so loading the package does not
+    import it."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Term(Frozen):
     """What the interned formula classes share: immutable fields, the
     dataclass-style ``repr``, and pickling and copying through the
     constructors, none of which recurses.  Equality and hashing stay
     ``object``'s (identity)."""
 
     __slots__ = ("sort_key", "__weakref__")
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         # the distinct subterms in post-order, operands named by their row
@@ -233,15 +246,20 @@ def qubit_atom(f: Formula) -> str:
     return f.left.name
 
 
-@dataclass(frozen=True)
-class QubitFormula:
-    """A named qubit proposition; its formula image is atom & ~atom."""
-
+class _QubitFormula(NamedTuple):
     atom: str
 
-    def __post_init__(self):
+
+class QubitFormula(_QubitFormula):
+    """A named qubit proposition; its formula image is atom & ~atom."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "QubitFormula":
+        self = super().__new__(cls, *args, **kwargs)
         if not _ATOM_RE.match(self.atom or ""):
             raise ValueError(f"invalid atom identifier: {self.atom!r}")
+        return self
 
     def formula(self) -> Binary:
         return Binary(Conn.WITH, PosAtom(self.atom), NegAtom(self.atom))

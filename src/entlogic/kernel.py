@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .formulas import (
@@ -24,6 +23,7 @@ from .formulas import (
     Binary,
     Conn,
     Formula,
+    Frozen,
     dual,
     fold,
     is_literal,
@@ -50,7 +50,7 @@ def _flat(pairs: Counts) -> tuple[Formula, ...]:
     return tuple(f for f, n in pairs for _ in range(n))
 
 
-class Sequent:
+class Sequent(Frozen):
     """``antecedent |- succedent``.  Each side is built once as
     :data:`Counts`, so equality is multiset equality and the hash is computed
     once.  ``antecedent`` and ``succedent`` give the sides as sorted tuples."""
@@ -91,12 +91,6 @@ class Sequent:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return Sequent, (self.antecedent, self.succedent)
@@ -263,16 +257,21 @@ _PRESET_OF = {flags: name for name, flags in _PRESETS.items()}
 PRESETS = tuple(_PRESETS)
 
 
-@dataclass(frozen=True)
-class LogicConfig:
+class _LogicConfig(NamedTuple):
     weakening: bool = False
     contraction: bool = False
     at_mode: str = AT_EXPAND
     allow_ent: bool = True
 
-    def __post_init__(self):
+
+class LogicConfig(_LogicConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "LogicConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.at_mode not in (AT_PRIMITIVE, AT_EXPAND):
             raise ValueError(f"unknown at_mode: {self.at_mode!r}")
+        return self
 
     @classmethod
     def preset(cls, name: str, at_mode: str = AT_EXPAND) -> "LogicConfig":
@@ -302,25 +301,29 @@ class LogicConfig:
 # instances and enumeration
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(NamedTuple):
     rule: str
     conclusion: Sequent
     premises: tuple[Sequent, ...]
     principal: Optional[Formula] = None
 
 
-# eq=False and repr=False: the generated methods would recurse through
-# ``children``, so equality and hashing are identity, as for formulas
-@dataclass(frozen=True, eq=False, repr=False)
-class ProofTree:
-    node: RuleInstance
-    children: tuple["ProofTree", ...] = ()
-    # nodes on the longest branch, taken from the children's when built
-    _height: int = field(init=False)
+class ProofTree(Frozen):
+    """A rule instance with a proof of each premise.  Equality, hashing and
+    ``repr`` are ``object``'s, as for formulas: compared or printed field by
+    field they would recurse through ``children``, and a memo-shared subproof
+    would be walked once per occurrence."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_height", 1 + max((c._height for c in self.children), default=0))
+    __slots__ = ("node", "children", "_height")  # _height: nodes on the longest branch
+    __match_args__ = ("node", "children")
+
+    def __init__(self, node: RuleInstance, children: tuple["ProofTree", ...] = ()):
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "_height", 1 + max((c._height for c in children), default=0))
+
+    def __reduce__(self):
+        return ProofTree, (self.node, self.children)
 
     @property
     def conclusion(self) -> Sequent:
@@ -586,8 +589,7 @@ def rule_instances(
 # checking
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     path: tuple[int, ...] = ()
     reason: str = ""
@@ -680,9 +682,20 @@ def check_proof(p: ProofTree, cfg: LogicConfig) -> CheckResult:
 
 
 def dualize_proof(p: ProofTree) -> ProofTree:
-    """Mechanical dual: swap sides, dualize formulas, mirror rule labels."""
-
-    def node(tree: ProofTree, children: list, _depth: int) -> ProofTree:
+    """Mechanical dual: swap sides, dualize formulas, mirror rule labels.
+    Each distinct node is dualized once, so a shared subproof stays shared."""
+    duals: dict[ProofTree, ProofTree] = {}  # trees hash by identity
+    stack = [p]
+    while stack:
+        tree = stack[-1]
+        if tree in duals:  # pushed again by another parent before it was done
+            stack.pop()
+            continue
+        pending = [c for c in tree.children if c not in duals]
+        if pending:  # come back once the subproofs are done
+            stack += pending
+            continue
+        stack.pop()
         inst = tree.node
         dual_inst = RuleInstance(
             rule=_DUAL_RULE[inst.rule],
@@ -690,6 +703,5 @@ def dualize_proof(p: ProofTree) -> ProofTree:
             premises=tuple(dual_sequent(q) for q in inst.premises),
             principal=dual(inst.principal) if inst.principal is not None else None,
         )
-        return ProofTree(dual_inst, tuple(children))
-
-    return fold_proof(p, node)
+        duals[tree] = ProofTree(dual_inst, tuple(duals[c] for c in tree.children))
+    return duals[p]

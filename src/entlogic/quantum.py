@@ -9,23 +9,26 @@ fidelity 1 with the intended copy, so global phase never matters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class QuantumState:
+class _QuantumState(NamedTuple):
     amplitudes: tuple[complex, ...]
 
-    def __post_init__(self):
-        amps = tuple(complex(a) for a in self.amplitudes)
+
+class QuantumState(_QuantumState):
+    __slots__ = ()
+
+    def __new__(cls, amplitudes) -> "QuantumState":
+        amps = tuple(complex(a) for a in amplitudes)
         if len(amps) not in (2, 4):
             raise ValueError(f"state must have 2 or 4 amplitudes, got {len(amps)}")
         norm2 = sum(abs(a) ** 2 for a in amps)
         if abs(norm2 - 1.0) > TOLERANCE:
             raise ValueError(f"state not normalized: |psi|^2 = {norm2!r}")
-        object.__setattr__(self, "amplitudes", amps)
+        return super().__new__(cls, amps)
 
     @property
     def num_qubits(self) -> int:
@@ -115,16 +118,21 @@ def _is_copy(produced: QuantumState, fid: float) -> bool:
     return fid >= 1 - TOLERANCE and is_separable(produced)
 
 
-@dataclass(frozen=True)
-class CloneOutcome:
+class _CloneOutcome(NamedTuple):
     produced: QuantumState
     intended: QuantumState
     success: bool
     fidelity_with_intended: float
 
-    def __post_init__(self):
+
+class CloneOutcome(_CloneOutcome):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "CloneOutcome":
+        self = super().__new__(cls, *args, **kwargs)
         if self.success != _is_copy(self.produced, self.fidelity_with_intended):
             raise ValueError("success flag inconsistent with fidelity and separability")
+        return self
 
 
 def try_clone(psi: QuantumState) -> CloneOutcome:

@@ -22,9 +22,8 @@ Python frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Generator, Optional, Union
+from typing import Generator, NamedTuple, Optional, Union
 
 from .formulas import Binary, Conn, Formula, PosAtom, dual, expand_connectives, qubit_of
 from .kernel import (
@@ -53,18 +52,22 @@ class _Limit(Exception):
         super().__init__(which)
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class _SearchLimits(NamedTuple):
     max_depth: int = 64
     max_nodes: int = 1_000_000
 
-    def __post_init__(self):
+
+class SearchLimits(_SearchLimits):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SearchLimits":
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_depth <= 0 or self.max_nodes <= 0:
             raise ValueError("search limits must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     nodes_expanded: int
     max_depth: int
     # deterministic work counters: rule instances generated, answers taken
@@ -80,8 +83,7 @@ class SearchStats:
     pruned: int = 0
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     verdict: str
     goal: Sequent
     proof: Optional[ProofTree]
@@ -303,8 +305,7 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(NamedTuple):
     verdict: str
     forward: SearchResult  # f |- g
     backward: SearchResult  # g |- f
@@ -338,8 +339,7 @@ WEAKENING = "weakening"
 CONTRACTION = "contraction"
 
 
-@dataclass(frozen=True)
-class IdempotenceReport:
+class IdempotenceReport(NamedTuple):
     connective: str
     config: LogicConfig
     compound: Formula

@@ -11,8 +11,7 @@ can still clone basis states, which silently restores the standard form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .formulas import Binary, Conn, Formula, is_qubit_shaped, ShapeError
 from .kernel import LogicConfig, PRESETS
@@ -33,33 +32,42 @@ class AnalyzerError(RuntimeError):
 # metalanguage sentences
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(NamedTuple):
     ident: str
 
 
-@dataclass(frozen=True)
-class Hat:
+class Hat(NamedTuple):
     arg: Name
 
 
-@dataclass(frozen=True)
-class TruePred:
+class TruePred(NamedTuple):
     arg: "MetaSentence"
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(NamedTuple):
     arg: "MetaSentence"
 
 
-@dataclass(frozen=True)
-class Def:
+class Def(NamedTuple):
     lhs: str
     rhs: "MetaSentence"
 
 
 MetaSentence = Union[Name, Hat, TruePred, Not, Def]
+
+
+def _same_sentence(m: MetaSentence, other) -> bool:
+    return type(m) is type(other) and tuple.__eq__(m, other)
+
+
+def _other_sentence(m: MetaSentence, other) -> bool:
+    return not _same_sentence(m, other)
+
+
+# A tuple equals any tuple of equal items, which would make Not(x) equal
+# TruePred(x); a sentence equals only a sentence of its own class.
+for _cls in (Name, Hat, TruePred, Not, Def):
+    _cls.__eq__, _cls.__ne__ = _same_sentence, _other_sentence
 
 
 def render_meta(m: MetaSentence) -> str:
@@ -126,8 +134,7 @@ def fixed_point_check(
     return _decided_idempotence(connective, cfg, limits).idempotent
 
 
-@dataclass(frozen=True)
-class LiarOutcome:
+class LiarOutcome(NamedTuple):
     paradox: bool
     definition: Def
     reduced: MetaSentence
@@ -194,8 +201,7 @@ def clone_diagram_commutes() -> bool:
     return case_one and case_zero and forced_equal
 
 
-@dataclass(frozen=True)
-class CloneEvidence:
+class CloneEvidence(NamedTuple):
     link: str
     basis_clonable: bool
     outcomes: Optional[dict]
@@ -251,8 +257,7 @@ COMPOSITION_FOOTNOTE = (
 )
 
 
-@dataclass(frozen=True)
-class SelfRefReport:
+class SelfRefReport(NamedTuple):
     """The classification of one connective under one configuration.  All of
     it derives from two decided facts, idempotence and the clonability of the
     physical link, so the report cannot contradict itself."""
@@ -309,8 +314,7 @@ def build_report(
 # the full connective x preset matrix
 
 
-@dataclass(frozen=True)
-class MatrixRow:
+class MatrixRow(NamedTuple):
     connective: str
     logic: str
     applicable: bool

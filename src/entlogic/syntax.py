@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .formulas import (
     Binary,
@@ -41,14 +41,19 @@ from .formulas import (
 from . import kernel
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class _SourceSpan(NamedTuple):
     start: int
     end: int
 
-    def __post_init__(self):
+
+class SourceSpan(_SourceSpan):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SourceSpan":
+        self = super().__new__(cls, *args, **kwargs)
         if not (0 <= self.start <= self.end):
             raise ValueError(f"bad span: {self.start}..{self.end}")
+        return self
 
 
 class ParseError(Exception):

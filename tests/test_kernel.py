@@ -212,6 +212,18 @@ def test_shared_subproofs_are_checked_and_written_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_dual_of_a_shared_proof_stays_shared():
+    # A |- F14: 15 distinct nodes stand for 2^15 - 1 occurrences
+    f = A
+    for _ in range(14):
+        f = Binary(Conn.WITH, f, f)
+    tree = prove(Sequent.of((A,), (f,)), BASIC).proof
+    mirrored = dualize_proof(tree)
+    assert len(set(tree.iter_nodes())) == len(set(mirrored.iter_nodes())) == 15
+    assert mirrored.conclusion == dual_sequent(tree.conclusion)
+    assert check_proof(mirrored, BASIC)
+
+
 def test_a_shared_subproof_is_compared_with_each_premise_it_stands_for():
     axiom = ProofTree(RuleInstance("axiom", seq("A |- A"), (), A))
     bad = ProofTree(RuleInstance("&R", seq("A |- A & B"), (seq("A |- A"), seq("A |- B"))), (axiom, axiom))
