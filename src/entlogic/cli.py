@@ -107,6 +107,8 @@ def _fmt_state(state: quantum.QuantumState) -> str:
 def _verdict_message(result: SearchResult) -> str:
     if result.verdict == PROVABLE:
         return "Provable"
+    if result.countermodel is not None:
+        return f"NotProvable (countermodel {result.countermodel[0]})"
     if result.verdict == NOT_PROVABLE:
         return "NotProvable (exhaustive)"
     return f"Unknown (max_{result.limit_hit} reached)"
@@ -140,6 +142,9 @@ def _cmd_prove(args) -> int:
             "proof": proof_to_dict(result.proof) if result.proof else None,
             "nodes_expanded": result.stats.nodes_expanded,
         }
+        if result.countermodel is not None:
+            model, valuation = result.countermodel
+            payload["countermodel"] = {"model": model, "valuation": dict(valuation)}
         if comparison:
             payload["comparison"] = {
                 "at_mode": comparison[0],

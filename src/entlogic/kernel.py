@@ -323,7 +323,35 @@ class ProofTree(Frozen):
         object.__setattr__(self, "_height", 1 + max((c._height for c in children), default=0))
 
     def __reduce__(self):
-        return ProofTree, (self.node, self.children)
+        # one table of the distinct formulas, sequents and nodes, each row
+        # naming earlier rows, so that neither pickling nor copying recurses
+        # once per level and a formula shared by many sequents is written once
+        rows: dict = {}  # formula, sequent or node -> its row; also fold's value table
+        table: list = []
+
+        def add(*fields) -> int:
+            table.append(fields)
+            return len(table) - 1
+
+        def formula(f: Formula) -> int:
+            return fold(f, lambda lit: add(type(lit), lit.name), lambda g, l, r: add(Binary, g.conn, l, r), rows)
+
+        def sequent(s: Sequent) -> int:
+            if s not in rows:
+                rows[s] = add(Sequent, tuple(map(formula, s.antecedent)), tuple(map(formula, s.succedent)))
+            return rows[s]
+
+        for tree in _post_order(self):  # the distinct nodes, subproofs first
+            rule, conclusion, premises, principal = tree.node
+            rows[tree] = add(
+                ProofTree,
+                rule,
+                sequent(conclusion),
+                tuple(map(sequent, premises)),
+                None if principal is None else formula(principal),
+                tuple(rows[c] for c in tree.children),
+            )
+        return _rebuild_proof, (tuple(table),)
 
     @property
     def conclusion(self) -> Sequent:
@@ -344,6 +372,41 @@ class ProofTree(Frozen):
         from .syntax import print_proof
 
         return print_proof(self, "text")
+
+
+def _post_order(p: ProofTree) -> list[ProofTree]:
+    """Each distinct node of ``p`` once, after its subproofs."""
+    done: dict[ProofTree, None] = {}  # trees hash by identity
+    stack = [p]
+    while stack:
+        tree = stack[-1]
+        pending = [c for c in tree.children if c not in done]
+        if pending:  # come back once the subproofs are done
+            stack += pending
+        elif stack.pop() not in done:  # it may have been pushed by two parents
+            done[tree] = None
+    return list(done)
+
+
+def _rebuild_proof(table: tuple) -> ProofTree:
+    """The proof a ``ProofTree.__reduce__`` table describes, through the
+    constructors."""
+    built: list = []
+    for cls, *fields in table:
+        if cls is Binary:
+            conn, left, right = fields
+            built.append(Binary(conn, built[left], built[right]))
+        elif cls is Sequent:
+            built.append(Sequent(*([built[i] for i in side] for side in fields)))
+        elif cls is ProofTree:
+            rule, conclusion, premises, principal, children = fields
+            premises = tuple(built[i] for i in premises)
+            principal = None if principal is None else built[principal]
+            inst = RuleInstance(rule, built[conclusion], premises, principal)
+            built.append(ProofTree(inst, tuple(built[i] for i in children)))
+        else:  # a literal
+            built.append(cls(*fields))
+    return built[-1]
 
 
 def fold_proof(p, node):
@@ -490,6 +553,118 @@ def literal_refuted(s: Sequent) -> bool:
     neither of its subformulas can, or another compound formula one of its
     subformulas.  With weakening off, the sequent then has no proof."""
     return _refuted(_half(s.ante_counts, LEFT), _half(s.succ_counts, RIGHT))
+
+
+# ---------------------------------------------------------------------------
+# finite countermodels
+
+# A sequent reads in a finite algebra as ``*antecedent <= par succedent``, an
+# empty antecedent as the unit e of ``*`` and an empty succedent as f = ~e.
+# If every rule a configuration enables preserves validity there, a sequent
+# false under some valuation of its literals has no proof (CHANGES.md).  No
+# rule relates A and ~A, so each literal is a variable of its own, and the
+# rules of @ and $ are shaped like those of par and *, so they read as those.
+# Both models are chains, elements 0..n-1 in order, where ~x is n-1-x and &
+# and | are min and max.
+
+
+class Model(NamedTuple):
+    name: str
+    elements: tuple[str, ...]  # the elements' names, bottom first
+    ops: dict  # connective -> its table, indexed [left][right]
+    unit: int  # e
+    weakening: bool  # whether weakening preserves validity
+
+
+def _model(name: str, elements: tuple[str, ...], times: tuple, unit: int, weakening: bool) -> Model:
+    top = len(elements) - 1
+    span = range(len(elements))
+    par = tuple(tuple(top - times[top - x][top - y] for y in span) for x in span)
+    ops = {
+        Conn.WITH: tuple(tuple(min(x, y) for y in span) for x in span),
+        Conn.PLUS: tuple(tuple(max(x, y) for y in span) for x in span),
+        Conn.TIMES: times,
+        Conn.PAR: par,
+        Conn.ENT: par,
+        Conn.SEC: times,
+    }
+    return Model(name, elements, ops, unit, weakening)
+
+
+# B2, the Boolean algebra: * is &, par is |.  It validates every rule.
+# M4, the chain 0 < e < f < 1: 0 absorbs, e is the unit and f * f = 1, so
+# x <= x * x validates contraction.  Weakening fails: |- holds (e <= f), and
+# A |- does not at A = 1.
+MODELS = (
+    _model("B2", ("0", "1"), ((0, 0), (0, 1)), 1, True),
+    _model("M4", ("0", "e", "f", "1"), ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 3), (0, 3, 3, 3)), 1, False),
+)
+
+# A model is tried only when its valuations of the literals on both sides,
+# n ** k for k such literals, are at most this many.
+VALUATIONS = 4096
+
+Countermodel = tuple[str, tuple[tuple[str, str], ...]]  # (model, ((literal, element), ...))
+
+
+def models(cfg: LogicConfig) -> tuple[Model, ...]:
+    """The models of :data:`MODELS` that validate every rule ``cfg`` enables."""
+    return tuple(m for m in MODELS if m.weakening or not cfg.weakening)
+
+
+def _literals(pairs: Counts) -> set[Formula]:
+    found: set[Formula] = set()
+    for f, _ in pairs:
+        fold(f, found.add, lambda g, l, r: None)
+    return found
+
+
+def _pointwise(table: tuple, xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(table[x][y] for x, y in zip(xs, ys))
+
+
+def countermodel(s: Sequent, cfg: LogicConfig) -> Optional[Countermodel]:
+    """One of :func:`models` and a valuation of every literal of ``s`` under
+    which ``s`` is false there; None when no model tried falsifies it.
+
+    Every operation is monotone, so a literal on one side only takes the top
+    on the left and the bottom on the right.  The literals on both sides run
+    through every valuation at once: each formula is one fold whose values
+    are tuples, one element per valuation."""
+    left, right = _literals(s.ante_counts), _literals(s.succ_counts)
+    shared = sorted(left & right, key=sort_key)
+    for model in models(cfg):
+        n, ops = len(model.elements), model.ops
+        size = n ** len(shared)
+        if size > VALUATIONS:
+            continue
+        # valuation i gives the j-th shared literal the j-th base-n digit of i,
+        # the first literal's the most significant
+        digit = {lit: n ** (len(shared) - 1 - j) for j, lit in enumerate(shared)}
+        given = {lit: tuple(i // d % n for i in range(size)) for lit, d in digit.items()}
+
+        def side(pairs: Counts, extreme: int, empty: int, conn: Conn) -> tuple[int, ...]:
+            value = (empty,) * size
+            for f, count in pairs:
+                v = fold(
+                    f,
+                    lambda lit: given.get(lit, (extreme,) * size),
+                    lambda g, l, r: _pointwise(ops[g.conn], l, r),
+                )
+                for _ in range(count):
+                    value = _pointwise(ops[conn], value, v)
+            return value
+
+        top = n - 1
+        ante = side(s.ante_counts, top, model.unit, Conn.TIMES)
+        succ = side(s.succ_counts, 0, top - model.unit, Conn.PAR)
+        for i in range(size):
+            if ante[i] > succ[i]:
+                values = {lit: top if lit in left else 0 for lit in left ^ right}
+                values.update((lit, i // d % n) for lit, d in digit.items())
+                valuation = tuple((str(lit), model.elements[values[lit]]) for lit in sorted(values, key=sort_key))
+                return model.name, valuation
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -684,18 +859,8 @@ def check_proof(p: ProofTree, cfg: LogicConfig) -> CheckResult:
 def dualize_proof(p: ProofTree) -> ProofTree:
     """Mechanical dual: swap sides, dualize formulas, mirror rule labels.
     Each distinct node is dualized once, so a shared subproof stays shared."""
-    duals: dict[ProofTree, ProofTree] = {}  # trees hash by identity
-    stack = [p]
-    while stack:
-        tree = stack[-1]
-        if tree in duals:  # pushed again by another parent before it was done
-            stack.pop()
-            continue
-        pending = [c for c in tree.children if c not in duals]
-        if pending:  # come back once the subproofs are done
-            stack += pending
-            continue
-        stack.pop()
+    duals: dict[ProofTree, ProofTree] = {}
+    for tree in _post_order(p):
         inst = tree.node
         dual_inst = RuleInstance(
             rule=_DUAL_RULE[inst.rule],

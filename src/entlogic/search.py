@@ -29,10 +29,12 @@ from .formulas import Binary, Conn, Formula, PosAtom, dual, expand_connectives, 
 from .kernel import (
     AT_EXPAND,
     INVERTIBLE,
+    Countermodel,
     LogicConfig,
     ProofTree,
     Sequent,
     check_proof,
+    countermodel,
     literal_refuted,
     rule_instances,
 )
@@ -89,6 +91,7 @@ class SearchResult(NamedTuple):
     proof: Optional[ProofTree]
     limit_hit: Optional[str]
     stats: SearchStats
+    countermodel: Optional[Countermodel] = None  # what settled a NotProvable goal without a search
 
     @property
     def is_provable(self) -> bool:
@@ -265,13 +268,18 @@ def prove(s: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits] = None) -
     """Decide ``s`` under ``cfg``; sound and complete for the cut-free system.
 
     Provable results always carry a tree revalidated by the independent
-    checker.  NotProvable is only ever reported from a fully exhausted search,
-    never from a limit hit.
+    checker.  NotProvable is only ever reported from a fully exhausted search
+    or, with contraction on, from a finite countermodel of the goal
+    (``countermodel``), never from a limit hit.
     """
     limits = limits or SearchLimits()
     if not cfg.allow_ent and s.contains_conn(Conn.ENT, Conn.SEC):
         raise GoalRejectedError(f"configuration {cfg.describe()!r} rejects goals containing @/$")
     goal = expand_sequent(s) if cfg.at_mode == AT_EXPAND else s
+    if cfg.contraction:  # where the search cannot be exhaustive, a model may settle the goal
+        found = countermodel(goal, cfg)
+        if found is not None:
+            return SearchResult(NOT_PROVABLE, goal, None, None, SearchStats(0, 0), found)
 
     tree: Optional[ProofTree] = None
     engine = _Search(cfg, limits)

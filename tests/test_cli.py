@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,10 @@ import pytest
 import entlogic
 from entlogic.cli import main
 from entlogic.kernel import LogicConfig, check_proof
+from entlogic.search import clear_memo
 from entlogic.syntax import parse_sequent, proof_from_dict, proof_from_json
+
+import countermodels
 
 SRC = str(Path(entlogic.__file__).resolve().parents[1])
 
@@ -94,6 +98,38 @@ def test_prove_unknown_exits_2(capsys):
     assert out.startswith("Unknown")
 
 
+def test_stuck_classical_goal_is_refuted_by_b2(capsys):
+    # the contraction search of this goal grows its contexts and did not
+    # finish at the default limits; B2 falsifies it before any search
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "prove", "A par B, C |- D", "--logic", "classical")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "NotProvable (countermodel B2)\n")
+    code, out, _ = run(capsys, "prove", "A par B, C |- D", "--logic", "classical", "--format", "json")
+    assert json.loads(out)["countermodel"] == {"model": "B2", "valuation": {"A": "1", "B": "1", "C": "1", "D": "0"}}
+
+
+@pytest.mark.parametrize("at_mode", ["primitive", "expand"])
+@pytest.mark.parametrize("text", ["A par B, C |- D", "|-", "Q(A) @ Q(B) |- A", "A * ~A |- Q(B) $ Q(B), C"])
+def test_json_countermodel_is_a_certificate(capsys, text, at_mode):
+    # the independent evaluator confirms that the valuation falsifies the
+    # searched sequent in the model named
+    code, out, _ = run(capsys, "prove", text, "--logic", "classical", "--at-mode", at_mode, "--format", "json")
+    payload = json.loads(out)
+    assert (code, payload["verdict"], payload["nodes_expanded"]) == (1, "not_provable", 0)
+    certificate = payload["countermodel"]
+    searched = parse_sequent(payload["searched"])
+    assert sorted(certificate["valuation"]) == countermodels.literals(searched)
+    assert countermodels.falsified(certificate["model"], searched, certificate["valuation"])
+
+
+def test_json_without_a_countermodel_keeps_its_keys(capsys):
+    keys = {"command", "input", "searched", "logic", "at_mode", "verdict", "limit_hit", "proof", "nodes_expanded"}
+    for argv in (("Q(A) |- Q(A)@Q(A)",), ("Q(A) |- Q(A)@Q(A)", "--logic", "classical")):
+        _, out, _ = run(capsys, "prove", *argv, "--format", "json")
+        assert set(json.loads(out)) == keys
+
+
 def test_prove_parse_error_exits_64(capsys):
     code, _, err = run(capsys, "prove", "A |- A |- A")
     assert code == 64
@@ -149,17 +185,28 @@ def test_idempotence_json(capsys):
 
 
 def test_idempotence_marks_an_unknown_probe_undetermined(capsys):
+    # two nodes leave the searched probes open, and each is marked; M4 still
+    # settles the contraction probe of X * X |- X, which is not marked.  The
+    # memo is cleared first: a stored failure or proof would answer a probe
+    clear_memo()
+    code, out, _ = run(capsys, "idempotence", "*", "--logic", "basic", "--max-nodes", "2")
+    assert code == 0
+    assert "direction X * X |- X: NotProvable (exhaustive); undetermined with weakening alone\n" in out
+    assert (
+        "direction X |- X * X: NotProvable (exhaustive); undetermined with weakening or contraction alone\n"
+        in out
+    )
+    # at the default limits every probe is decided, so weakening alone
+    # rescues X * X |- X and contraction alone X |- X * X
     code, out, _ = run(capsys, "idempotence", "*", "--logic", "basic")
     assert code == 0
-    assert (
-        "direction X * X |- X: NotProvable (exhaustive); provable with weakening alone;"
-        " undetermined with contraction alone\n" in out
-    )
+    assert "direction X * X |- X: NotProvable (exhaustive); provable with weakening alone\n" in out
     assert "direction X |- X * X: NotProvable (exhaustive); provable with contraction alone\n" in out
+    assert "undetermined" not in out
     code, out, _ = run(capsys, "idempotence", "*", "--logic", "basic", "--format", "json")
     directions = json.loads(out)["directions"]
-    assert directions["X * X |- X"]["undetermined"] == ["contraction"]
-    assert directions["X |- X * X"]["undetermined"] == []
+    assert directions["X * X |- X"] == {"verdict": "not_provable", "rescued_by": ["weakening"], "undetermined": []}
+    assert directions["X |- X * X"] == {"verdict": "not_provable", "rescued_by": ["contraction"], "undetermined": []}
     code, out, _ = run(capsys, "idempotence", "&", "--logic", "basic")
     assert "undetermined" not in out
 

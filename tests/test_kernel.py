@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import time
 
 import pytest
@@ -224,6 +226,23 @@ def test_dual_of_a_shared_proof_stays_shared():
     assert check_proof(mirrored, BASIC)
 
 
+@pytest.mark.parametrize("roundtrip", [copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))], ids=["deepcopy", "pickle"])
+def test_tall_and_shared_proofs_survive_pickle_and_deepcopy(roundtrip):
+    # the proof is one flat table of its distinct formulas, sequents and
+    # nodes: no recursion per level, and a shared subproof stays shared
+    tall = _chain()
+    twin = roundtrip(tall)
+    assert twin.height() == 2001 and check_proof(twin, BASIC)
+    assert [n.node for n in twin.iter_nodes()] == [n.node for n in tall.iter_nodes()]
+    f = A
+    for _ in range(14):
+        f = Binary(Conn.WITH, f, f)
+    shared = prove(Sequent.of((A,), (f,)), BASIC).proof
+    twin = roundtrip(shared)
+    assert twin is not shared and len(set(twin.iter_nodes())) == 15
+    assert check_proof(twin, BASIC) and print_proof(twin, "json") == print_proof(shared, "json")
+
+
 def test_a_shared_subproof_is_compared_with_each_premise_it_stands_for():
     axiom = ProofTree(RuleInstance("axiom", seq("A |- A"), (), A))
     bad = ProofTree(RuleInstance("&R", seq("A |- A & B"), (seq("A |- A"), seq("A |- B"))), (axiom, axiom))
@@ -232,17 +251,18 @@ def test_a_shared_subproof_is_compared_with_each_premise_it_stands_for():
     assert verdict.reason == "child conclusion differs from premise"
 
 
-def test_proof_tree_equality_hash_and_repr_do_not_recurse():
-    # the 2,001-level &L1 chain proof of (...((A & A) & A)... & A) |- A;
-    # equality and hashing are identity, as for interned formulas
-    def chain():
-        tree = ProofTree(RuleInstance("axiom", Sequent.of((A,), (A,)), (), A))
-        for _ in range(2000):
-            f = Binary(Conn.WITH, tree.conclusion.antecedent[0], A)
-            tree = ProofTree(RuleInstance("&L1", Sequent.of((f,), (A,)), (tree.conclusion,), f), (tree,))
-        return tree
+def _chain() -> ProofTree:
+    """The 2,001-level &L1 chain proof of (...((A & A) & A)... & A) |- A."""
+    tree = ProofTree(RuleInstance("axiom", Sequent.of((A,), (A,)), (), A))
+    for _ in range(2000):
+        f = Binary(Conn.WITH, tree.conclusion.antecedent[0], A)
+        tree = ProofTree(RuleInstance("&L1", Sequent.of((f,), (A,)), (tree.conclusion,), f), (tree,))
+    return tree
 
-    tree, twin = chain(), chain()
+
+def test_proof_tree_equality_hash_and_repr_do_not_recurse():
+    # equality and hashing are identity, as for interned formulas
+    tree, twin = _chain(), _chain()
     assert tree.height() == 2001 and check_proof(tree, BASIC)
     assert tree == tree and tree != twin
     assert hash(tree) == hash(tree) and len({tree, twin}) == 2

@@ -1,0 +1,197 @@
+"""The finite countermodels: their soundness for every rule they are used
+with, their agreement with the oracle and the engine, and the certificates
+they produce, re-checked by the independent evaluator in ``countermodels``."""
+
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+
+from entlogic.formulas import Conn
+from entlogic.kernel import (
+    AXIOM,
+    BOTH,
+    BRANCH,
+    CONTRACT,
+    LEFT,
+    MODELS,
+    PICK_LEFT,
+    PICK_RIGHT,
+    RULES,
+    SPLIT,
+    VALUATIONS,
+    WEAKEN,
+    LogicConfig,
+    countermodel,
+    models,
+)
+from entlogic.search import SearchLimits, prove
+from entlogic.syntax import parse_sequent
+from strategies import sequents
+
+import countermodels
+import oracle
+from conftest import BASIC, BASIC_EXPAND, CLASSICAL, CLASSICAL_EXPAND, CONTR_ONLY
+from test_acceptance import _enumerated_family
+
+CONFIGS = [
+    LogicConfig(weakening, contraction, "primitive", allow_ent)
+    for weakening, contraction, allow_ent in product((False, True), repeat=3)
+]
+CONTR_ONLY_EXPAND = CONTR_ONLY._replace(at_mode="expand")
+
+
+def _valid(model, left: list[int], right: list[int]) -> bool:
+    """``*left <= par right`` in ``model``, from its own tables."""
+    top = len(model.elements) - 1
+    ante, succ = model.unit, top - model.unit
+    for x in left:
+        ante = model.ops[Conn.TIMES][ante][x]
+    for y in right:
+        succ = model.ops[Conn.PAR][succ][y]
+    return ante <= succ
+
+
+def _preserves_validity(model, rule) -> bool:
+    """Every instance of ``rule`` with valid premises has a valid conclusion,
+    for every value of the contexts and operands.  A context stands for its
+    product (left) or par (right), so one value covers every context.  The
+    schema is read from the row's kind and side alone."""
+    span = range(len(model.elements))
+
+    def holds(active: list[int], passive: list[int]) -> bool:
+        return _valid(model, active, passive) if rule.side == LEFT else _valid(model, passive, active)
+
+    if rule.kind == AXIOM:
+        return all(_valid(model, [a], [a]) for a in span)
+    op = model.ops[rule.conn] if rule.conn is not None else None
+    if rule.kind == SPLIT:
+        for g1, g2, d1, d2, a, b in product(span, repeat=6):
+            if holds([g1, a], [d1]) and holds([g2, b], [d2]) and not holds([g1, g2, op[a][b]], [d1, d2]):
+                return False
+        return True
+    premises = {
+        WEAKEN: lambda g, a, b: [[g]],
+        CONTRACT: lambda g, a, b: [[g, a, a]],
+        PICK_LEFT: lambda g, a, b: [[g, a]],
+        PICK_RIGHT: lambda g, a, b: [[g, b]],
+        BOTH: lambda g, a, b: [[g, a, b]],
+        BRANCH: lambda g, a, b: [[g, a], [g, b]],
+    }[rule.kind]
+    for g, d, a, b in product(span, repeat=4):
+        principal = a if op is None else op[a][b]
+        if all(holds(p, [d]) for p in premises(g, a, b)) and not holds([g, principal], [d]):
+            return False
+    return True
+
+
+def test_models_are_commutative_involutive_chains():
+    # reading a multiset as one product or par needs * commutative and
+    # associative with unit e; the shortcut in countermodel needs every
+    # operation monotone
+    for model in MODELS:
+        span = range(len(model.elements))
+        times = model.ops[Conn.TIMES]
+        for x, y, z in product(span, repeat=3):
+            assert times[x][y] == times[y][x]
+            assert times[times[x][y]][z] == times[x][times[y][z]]
+            assert times[model.unit][x] == x
+        for table in model.ops.values():
+            for x, y in product(span, repeat=2):
+                assert x == len(span) - 1 or table[x][y] <= table[x + 1][y]
+                assert y == len(span) - 1 or table[x][y] <= table[x][y + 1]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+def test_every_rule_a_model_serves_preserves_validity(model):
+    served = [cfg for cfg in CONFIGS if model in models(cfg)]
+    assert served  # B2 serves every configuration, M4 those without weakening
+    for cfg in served:
+        for name, rule in RULES.items():
+            if cfg.rule_enabled(name):
+                assert _preserves_validity(model, rule), (model.name, name, cfg)
+    # the weakening flag is exact: a model that fails weakening serves no
+    # configuration that has it
+    weakening = all(_preserves_validity(model, r) for r in RULES.values() if r.kind == WEAKEN)
+    assert model.weakening == weakening
+
+
+def test_oracle_provable_goals_are_valid_in_both_models():
+    # basic, where the oracle decides, is a sub-calculus of every configuration
+    checked = 0
+    for s in _enumerated_family():
+        if oracle.provable(s):
+            assert countermodel(s, BASIC) is None, s
+            checked += 1
+    assert checked > 1000
+
+
+def _check_result(result, cfg) -> None:
+    """A Provable result's every sequent is valid, and a countermodel is
+    confirmed, in each model that applies, by the independent evaluator."""
+    names = countermodels.applicable(cfg.weakening)
+    if result.is_provable:
+        for node in set(result.proof.iter_nodes()):
+            for name in names:
+                assert countermodels.refutation(name, node.conclusion) is None, (name, str(node.conclusion))
+    if result.countermodel is not None:
+        name, valuation = result.countermodel
+        assert name in names
+        assert countermodels.falsified(name, result.goal, dict(valuation))
+        assert sorted(lit for lit, _ in valuation) == countermodels.literals(result.goal)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequents(max_per_side=2, max_depth=2))
+def test_engine_verdicts_with_contraction_agree_with_the_models(s):
+    limits = SearchLimits(max_depth=5, max_nodes=500)
+    for cfg in (CONTR_ONLY, CLASSICAL):
+        _check_result(prove(s, cfg, limits), cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequents(max_per_side=3, max_depth=2))
+def test_the_monotone_shortcut_finds_what_brute_force_finds(s):
+    # one-sided literals at the extremes lose no countermodel
+    for cfg in (CONTR_ONLY, CLASSICAL):
+        found = countermodel(s, cfg)
+        brute = [m for m in countermodels.applicable(cfg.weakening) if countermodels.refutation(m, s) is not None]
+        assert (found is not None) == bool(brute)
+        if found is not None:
+            assert found[0] == brute[0]  # B2 is tried first
+            assert countermodels.falsified(found[0], s, dict(found[1]))
+
+
+# The goals of the matrix's contraction-only rescue probes, by @ mode; each
+# is the direction of X.X -||- X that weakening alone rescues.
+PROBES = (
+    "X * X |- X",
+    "X |- X par X",
+    "Q(A) |- Q(A) @ Q(A)",
+    "(~A | A) $ (~A | A) |- ~A | A",
+)
+
+
+@pytest.mark.parametrize("text", PROBES)
+@pytest.mark.parametrize("cfg", [CONTR_ONLY, CONTR_ONLY_EXPAND], ids=["primitive", "expand"])
+def test_m4_settles_every_rescue_probe(text, cfg):
+    result = prove(parse_sequent(text), cfg, SearchLimits(max_depth=8))
+    assert result.is_not_provable and result.countermodel[0] == "M4"
+    assert result.stats.nodes_expanded == 0
+    _check_result(result, cfg)
+
+
+def test_the_valuation_cap_skips_a_model():
+    # 7 literals on both sides: 4^7 valuations of M4 pass the cap, 2^7 of B2
+    # do not, and the goal is valid in B2
+    atoms = [f"A{i}" for i in range(7)]
+    goal = parse_sequent(", ".join(atoms) + " |- " + " * ".join(atoms[:2]) + ", " + ", ".join(atoms[2:]))
+    assert 4**7 > VALUATIONS >= 2**7
+    assert countermodel(goal, CONTR_ONLY) is None
+    assert countermodels.refutation("M4", goal) is not None
+
+
+@pytest.mark.parametrize("cfg", [CLASSICAL, CLASSICAL_EXPAND, BASIC_EXPAND], ids=lambda c: c.describe())
+def test_models_apply_where_they_are_sound(cfg):
+    # B2 validates weakening; M4 does not, so it is not tried with weakening
+    assert [m.name for m in models(cfg)] == (["B2"] if cfg.weakening else ["B2", "M4"])

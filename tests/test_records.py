@@ -54,7 +54,7 @@ FIELDS = {
     SearchStats: (
         "nodes_expanded", "max_depth", "instances", "memo_hits", "cuts", "refuted", "committed", "pruned",
     ),
-    SearchResult: ("verdict", "goal", "proof", "limit_hit", "stats"),
+    SearchResult: ("verdict", "goal", "proof", "limit_hit", "stats", "countermodel"),
     EquivalenceResult: ("verdict", "forward", "backward"),
     IdempotenceReport: (
         "connective", "config", "compound", "single", "idempotent", "forward", "backward",

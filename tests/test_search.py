@@ -162,11 +162,22 @@ def test_search_counters_count_memo_hits_and_cuts():
 
 
 def test_unprovable_with_contraction_is_unknown_under_limits():
-    # the contraction-enabled space for this goal is infinite; the engine
-    # must come back Unknown rather than claim exhaustion
+    # no model refutes this goal, and the contraction-enabled space for it is
+    # infinite (its lone ~A has no twin on the left, so it has no proof); the
+    # engine must come back Unknown rather than claim exhaustion
+    limits = SearchLimits(max_depth=6, max_nodes=50_000)
+    result = prove(seq("A par A |- ~A, A * A"), CONTR_ONLY, limits)
+    assert result.is_unknown and result.countermodel is None
+
+
+def test_a_countermodel_settles_a_contraction_goal_before_the_search():
+    # A |- A par A is false in M4 at A = e (e par e = 0), and M4 validates
+    # every rule but weakening: NotProvable with no node searched
     limits = SearchLimits(max_depth=6, max_nodes=50_000)
     result = prove(seq("A |- A par A"), CONTR_ONLY, limits)
-    assert result.is_unknown
+    assert result.is_not_provable and result.limit_hit is None
+    assert result.countermodel == ("M4", (("A", "e"),))
+    assert result.stats.nodes_expanded == 0
 
 
 def test_contraction_engine_can_exhaust_finite_spaces():
@@ -261,9 +272,10 @@ def test_times_attribution_exchanged_against_par():
 
 W, C = ("weakening",), ("contraction",)
 # connective -> under basic and linear, the rules that rescue the forward
-# X.X |- X and the backward X |- X.X, then those undetermined on each; & and |
-# are idempotent there, and every connective is idempotent under classical
-ATTRIBUTION = {"*": (W, C, C, ()), "par": (C, W, (), C), "@": (C, W, (), C), "$": (W, C, C, ())}
+# X.X |- X and the backward X |- X.X, then those undetermined on each (none:
+# a model refutes every contraction probe that does not prove); & and | are
+# idempotent there, and every connective is idempotent under classical
+ATTRIBUTION = {"*": (W, C, (), ()), "par": (C, W, (), ()), "@": (C, W, (), ()), "$": (W, C, (), ())}
 APPLICABLE_CELLS = [
     (conn.value, preset)
     for conn in Conn
@@ -514,6 +526,20 @@ def test_prunings_stay_off_where_they_do_not_hold():
     clear_memo()
     weak = prove(seq("A, B |- A"), WEAK_ONLY)
     assert weak.is_provable and weak.stats.refuted == 0
+    limits = SearchLimits(max_depth=4, max_nodes=2000)
+    settled_by = {}
     for cfg in (CONTR_ONLY, CLASSICAL):
-        stats = prove(seq("A |- B par A"), cfg, SearchLimits(max_depth=4, max_nodes=2000)).stats
+        result = prove(seq("A |- B par A"), cfg, limits)
+        stats = result.stats
         assert (stats.refuted, stats.committed) == (0, 0)
+        settled_by[cfg.describe()] = result.countermodel and result.countermodel[0]
+    # M4 refutes the goal at A = e before any search with contraction alone;
+    # it is classically valid, so classical searches it
+    assert settled_by == {"no-weakening+contraction": "M4", "classical": None}
+    # no model refutes this goal, and its lone ~A has no twin on the left:
+    # literal refutation would settle it at the root, yet the search runs
+    goal = seq("A par A |- ~A, A * A")
+    assert literal_refuted(goal)
+    result = prove(goal, CONTR_ONLY, limits)
+    assert result.countermodel is None and result.is_unknown
+    assert (result.stats.refuted, result.stats.committed) == (0, 0) and result.stats.nodes_expanded > 1
