@@ -6,7 +6,8 @@ trees use all 19 rules.  The enumeration pins fix the rule-name sequence that
 ``rule_instances`` generates for one small sequent per rule kind.
 ``golden_search.txt`` pins what ``prove`` returns (verdict, limit, node count,
 depth reached, the ``instances``, ``memo_hits``, ``cuts``, ``refuted``,
-``committed`` and ``pruned`` work counters and the text proof) on a fixed
+``committed`` and ``pruned`` work counters, the countermodel that settled the
+goal if one did, and the text proof) on a fixed
 goal set under five configurations, plus one depth-limited sequence that
 shares the memo across calls.  The counters pin
 the work done, not only its outcome, so a change to the search loop that
@@ -107,13 +108,19 @@ def _random_goals():
     return [random_sequent(rng, max_per_side=2) for _ in range(30)]
 
 
+def _countermodel(found) -> str:
+    model, valuation = found
+    return f" countermodel={model}(" + ", ".join(f"{lit}={x}" for lit, x in valuation) + ")"
+
+
 def _entry(label, goal, result) -> str:
     s = result.stats
     head = [
         f"== {label} | {print_sequent(goal)}",
         f"{result.verdict} limit={result.limit_hit} nodes={s.nodes_expanded} depth={s.max_depth}"
         f" instances={s.instances} memo_hits={s.memo_hits} cuts={s.cuts}"
-        f" refuted={s.refuted} committed={s.committed} pruned={s.pruned}",
+        f" refuted={s.refuted} committed={s.committed} pruned={s.pruned}"
+        + (_countermodel(result.countermodel) if result.countermodel else ""),
     ]
     return "\n".join(head + ([print_proof(result.proof, "text")] if result.proof else []))
 
