@@ -10,10 +10,12 @@ axioms (weakening off too: a literal without its twin there, an ``&`` on the
 left or ``|`` on the right neither of whose subformulas can, another compound
 formula one of whose subformulas cannot) or a failed premise of an
 invertible rule then settles a sequent without a sweep.  With contraction
-enabled premises can grow and the space is usually infinite; the rounds then
-deepen the budget one step at a time (iterative deepening), which finds a
-minimal-height derivation whenever one exists and reports Unknown when a
-limit binds.  Repeated sequents along a branch need no dedicated loop check:
+enabled premises can grow and the space is usually infinite.  The goal is
+first evaluated in finite models that validate every enabled rule, and one
+that falsifies it settles it as NotProvable (``kernel.countermodel``);
+otherwise the rounds deepen the budget one step at a time (iterative
+deepening), which finds a minimal-height derivation whenever one exists and
+reports Unknown when a limit binds.  Repeated sequents along a branch need no dedicated loop check:
 a proof with such a repeat can always be shortened past it, and the budget
 already bounds every branch.  The search keeps its own stack of suspended
 frames, one per open sequent, so the height of a proof costs heap, not
@@ -376,7 +378,8 @@ def _idempotence_pair(conn: Conn) -> tuple[Formula, Formula]:
 
 
 # The probes' depth cap.  The contraction-only search space is infinite when
-# contraction does not rescue the goal, and the cap is what ends that search.
+# contraction does not rescue the goal, and where no model refutes the goal
+# the cap is what ends that search.
 # The deepest rescue among the idempotence pairs is 5 levels (3 for the X
 # pairs, 5 for the Q(A) pairs), so 8 finds every one.
 _PROBE_DEPTH = 8
