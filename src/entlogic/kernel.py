@@ -571,7 +571,7 @@ def literal_refuted(s: Sequent) -> bool:
 class Model(NamedTuple):
     name: str
     elements: tuple[str, ...]  # the elements' names, bottom first
-    ops: dict  # connective -> its table, indexed [left][right]
+    ops: dict[Conn, tuple[tuple[int, ...], ...]]  # connective -> its table, [left][right]
     unit: int  # e
     weakening: bool  # whether weakening preserves validity
 

@@ -15,11 +15,11 @@ first evaluated in finite models that validate every enabled rule, and one
 that falsifies it settles it as NotProvable (``kernel.countermodel``);
 otherwise the rounds deepen the budget one step at a time (iterative
 deepening), which finds a minimal-height derivation whenever one exists and
-reports Unknown when a limit binds.  Repeated sequents along a branch need no dedicated loop check:
-a proof with such a repeat can always be shortened past it, and the budget
-already bounds every branch.  The search keeps its own stack of suspended
-frames, one per open sequent, so the height of a proof costs heap, not
-Python frames.
+reports Unknown when a limit binds.  Repeated sequents along a branch need
+no dedicated loop check: a proof with such a repeat can always be shortened
+past it, and the budget already bounds every branch.  The search keeps its
+own stack of suspended frames, one per open sequent, so the height of a
+proof costs heap, not Python frames.
 """
 
 from __future__ import annotations
