@@ -7,11 +7,11 @@ trees use all 19 rules.  The enumeration pins fix the rule-name sequence that
 ``golden_search.txt`` pins what ``prove`` returns (verdict, limit, node count,
 depth reached, the ``instances``, ``memo_hits``, ``cuts``, ``refuted``,
 ``committed`` and ``pruned`` work counters, the countermodel that settled the
-goal if one did, and the text proof) on a fixed
-goal set under five configurations, plus one depth-limited sequence that
-shares the memo across calls.  The counters pin
-the work done, not only its outcome, so a change to the search loop that
-keeps every verdict but visits sequents in another order shows here.
+goal if one did, and the text proof) on a fixed goal set under five
+configurations, plus one depth-limited sequence that shares the memo across
+calls.  The counters pin the work done, not only its outcome, so a change to
+the search loop that keeps every verdict but visits sequents in another order
+shows here.
 ``golden_formulas.txt`` pins the formula maps and printers on every formula
 of those goals and of the idempotence tests (text, LaTeX, dual, size,
 ``@``/``$`` expansion and classical collapse, or the ``ShapeError`` they
