@@ -726,37 +726,60 @@ def _split_premises(
             yield _sequent(a1[0], s1[0]), _sequent(a2[0], s2[0])
 
 
+# A configuration's rule plan: its enabled rows in RULE_ORDER, each as
+# (name, kind, side, connective, replacements), built once per configuration.
+_Step = tuple[str, str, Optional[str], Optional[Conn], tuple]
+_PLANS: dict[LogicConfig, tuple[_Step, ...]] = {}
+
+
+def _plan(cfg: LogicConfig) -> tuple[_Step, ...]:
+    plan = _PLANS.get(cfg)
+    if plan is None:
+        rows = (RULES[name] for name in RULE_ORDER if cfg.rule_enabled(name))
+        plan = _PLANS[cfg] = tuple((*row, _REPLACEMENTS.get(row.kind, ())) for row in rows)
+    return plan
+
+
+def _by_conn(pairs: Counts) -> dict:
+    """The positions of ``pairs``' formulas by main connective, in side order;
+    None maps to every position, the candidates of a structural rule."""
+    index: dict = {None: range(len(pairs))}
+    for i, (f, _) in enumerate(pairs):
+        if isinstance(f, Binary):
+            index.setdefault(f.conn, []).append(i)
+    return index
+
+
 def rule_instances(
     s: Sequent, cfg: LogicConfig, prune: Optional[Callable[[], object]] = None
 ) -> Iterator[RuleInstance]:
     """Every backward-applicable instance with conclusion ``s``, lazily.
 
-    Principal choices and, for the context-splitting rules, all multiset
-    partitions of the side contexts are generated in a fixed order, so a
-    caller that stops early never builds the instances after that point.
-    With ``prune``, the splits with a :func:`literal_refuted` premise are left
-    out, ``prune()`` is called once for each, and the rest keep their order.
+    The rows of ``cfg``'s plan are tried in order, and each row's principal
+    formulas in side order.  Principal choices and, for the context-splitting
+    rules, all multiset partitions of the side contexts are generated in a
+    fixed order, so a caller that stops early never builds the instances
+    after that point.  With ``prune``, the splits with a
+    :func:`literal_refuted` premise are left out, ``prune()`` is called once
+    for each, and the rest keep their order.
     """
-    for name in RULE_ORDER:
-        rule = RULES[name]
-        if not cfg.rule_enabled(name):
-            continue
-        if rule.kind == AXIOM:
+    index = None  # side -> the positions of its formulas by connective
+    for name, kind, side, conn, replacements in _plan(cfg):
+        if kind == AXIOM:
             if axiom_check(s):
                 yield RuleInstance(name, s, (), s.ante_counts[0][0])
             continue
-        active, passive = s.counts(rule.side), s.counts(_OTHER[rule.side])
-        for i, (f, _) in enumerate(active):
-            if not _can_be_principal(rule, f):
-                continue
+        if index is None:
+            index = {LEFT: _by_conn(s.ante_counts), RIGHT: _by_conn(s.succ_counts)}
+        active, passive = (s.ante_counts, s.succ_counts) if side == LEFT else (s.succ_counts, s.ante_counts)
+        for i in index[side].get(conn, ()):
+            f = active[i][0]
             rest = _minus(active, i)
-            if rule.kind == SPLIT:
-                splits = _split_premises(rule.side, rest, passive, f, prune)
+            if kind == SPLIT:
+                splits = _split_premises(side, rest, passive, f, prune)
                 yield from (RuleInstance(name, s, premises, f) for premises in splits)
             else:
-                premises = tuple(
-                    _orient(rule.side, _plus(rest, new(f)), passive) for new in _REPLACEMENTS[rule.kind]
-                )
+                premises = tuple(_orient(side, _plus(rest, new(f)), passive) for new in replacements)
                 yield RuleInstance(name, s, premises, f)
 
 
