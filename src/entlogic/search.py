@@ -233,6 +233,10 @@ class _Search:
             self.fail_at[seq] = _INF
             return None
         cuts_before = self.cuts
+        # the deepening frontier: at budget 1 no premise has a proof, so only
+        # the axiom, drawn first, can succeed, and with contraction on nothing
+        # settles a failure outright once a cut has made it budget-limited
+        frontier = budget == 1 and self.cfg.contraction
         for inst in rule_instances(seq, self.cfg, self.prune):
             self.instances += 1
             children: list[ProofTree] = []
@@ -252,6 +256,8 @@ class _Search:
                 self.committed += 1
                 self.fail_at[seq] = _INF
                 return None
+            if frontier and self.cuts != cuts_before:
+                break
         if self.cuts == cuts_before:
             self.fail_at[seq] = _INF
         elif self.cfg.contraction:  # a budget-limited failure: only for this call's tables

@@ -180,6 +180,21 @@ def test_a_countermodel_settles_a_contraction_goal_before_the_search():
     assert result.stats.nodes_expanded == 0
 
 
+def test_deepening_frontier_stops_at_its_first_cut():
+    # classically valid, so no model refutes it, and iterative deepening
+    # re-explores contraction and weakening of each Ci in every round.  At
+    # budget 1 a node stops drawing instances once it has counted a cut, so
+    # the nodes, depth and proof are what the whole frontier gave (7,044
+    # nodes, depth 5), from 53,459 instances instead of 300,568
+    goal = seq("A par B, C0, C1, C2 |- D, C0, C1, C2")
+    start = time.perf_counter()
+    result = prove(goal, CLASSICAL)
+    assert time.perf_counter() - start < 1.0
+    assert result.is_provable and result.proof.height() == 5
+    stats = result.stats
+    assert (stats.nodes_expanded, stats.max_depth, stats.instances) == (7044, 5, 53_459)
+
+
 def test_contraction_engine_can_exhaust_finite_spaces():
     # the empty sequent offers no rule applications at all, so even the
     # contraction-enabled engine can certify exhaustion
