@@ -8,7 +8,18 @@ from hypothesis import given, settings
 
 from entlogic.formulas import Binary, Conn, NegAtom, PosAtom
 from entlogic.kernel import (
+    AXIOM,
+    BOTH,
+    BRANCH,
+    CONTRACT,
+    LEFT,
+    PICK_LEFT,
+    PICK_RIGHT,
     PRESETS,
+    RULE_ORDER,
+    RULES,
+    SPLIT,
+    WEAKEN,
     LogicConfig,
     ProofTree,
     RuleInstance,
@@ -23,7 +34,7 @@ from entlogic.search import prove
 from entlogic.syntax import parse_formula, parse_sequent, print_proof, proof_from_dict, proof_to_dict
 from strategies import sequents
 
-from conftest import BASIC, CLASSICAL
+from conftest import BASIC, CLASSICAL, CONTR_ONLY, WEAK_ONLY
 
 A, NA = PosAtom("A"), NegAtom("A")
 
@@ -107,6 +118,81 @@ def test_premise_measure_decreases_without_structural_rules(s):
     for inst in rule_instances(s, BASIC):
         for premise in inst.premises:
             assert premise.size() < total
+
+
+# What each premise's active side holds in place of the principal formula f,
+# per rule kind, as the calculus states it.
+_REFERENCE_REPLACEMENTS = {
+    WEAKEN: lambda f: [()],
+    CONTRACT: lambda f: [(f, f)],
+    PICK_LEFT: lambda f: [(f.left,)],
+    PICK_RIGHT: lambda f: [(f.right,)],
+    BOTH: lambda f: [(f.left, f.right)],
+    BRANCH: lambda f: [(f.left,), (f.right,)],
+}
+
+
+def _reference_instances(s, cfg):
+    """(rule, principal, premises, splits) from the RULES rows alone: each
+    enabled row in RULE_ORDER, then each distinct formula on the row's side,
+    in side order, whose connective matches.  A context-splitting row gives
+    no premises but its number of splits, one per way to share out each
+    context formula's copies."""
+    out = []
+    for name in RULE_ORDER:
+        row = RULES[name]
+        if not cfg.rule_enabled(name):
+            continue
+        if row.kind == AXIOM:
+            if axiom_check(s):
+                out.append((name, s.antecedent[0], (), None))
+            continue
+        active, passive = (s.antecedent, s.succedent) if row.side == LEFT else (s.succedent, s.antecedent)
+        for f in dict.fromkeys(active):
+            if row.conn is not None and not (isinstance(f, Binary) and f.conn is row.conn):
+                continue
+            rest = list(active)
+            rest.remove(f)
+            if row.kind == SPLIT:
+                splits = 1
+                for context in (rest, passive):
+                    for g in set(context):
+                        splits *= context.count(g) + 1
+                out.append((name, f, None, splits))
+                continue
+            premises = tuple(
+                Sequent.of(rest + list(new), passive) if row.side == LEFT else Sequent.of(passive, rest + list(new))
+                for new in _REFERENCE_REPLACEMENTS[row.kind](f)
+            )
+            out.append((name, f, premises, None))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequents(max_per_side=3, max_depth=2))
+def test_rule_instances_follow_the_rule_table_order(s):
+    for cfg in (BASIC, WEAK_ONLY, CONTR_ONLY, CLASSICAL):
+        for prune in (None, lambda: None):
+            # consecutive instances with one (rule, principal) are one row
+            # entry: the splits of a context-splitting rule
+            groups = []
+            for inst in rule_instances(s, cfg, prune):
+                if groups and groups[-1][0] == (inst.rule, inst.principal):
+                    groups[-1][1].append(inst.premises)
+                else:
+                    groups.append(((inst.rule, inst.principal), [inst.premises]))
+            j = 0
+            for name, f, premises, splits in _reference_instances(s, cfg):
+                here = j < len(groups) and groups[j][0] == (name, f)
+                if premises is not None:
+                    assert here and groups[j][1] == [premises]
+                elif here:  # with prune, the splits with a refuted premise are left out
+                    assert len(groups[j][1]) == splits or (prune is not None and len(groups[j][1]) < splits)
+                else:
+                    assert prune is not None
+                    continue
+                j += 1
+            assert j == len(groups)
 
 
 def test_check_proof_accepts_goldens(golden_proofs):
