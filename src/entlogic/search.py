@@ -15,11 +15,14 @@ first evaluated in finite models that validate every enabled rule, and one
 that falsifies it settles it as NotProvable (``kernel.countermodel``);
 otherwise the rounds deepen the budget one step at a time (iterative
 deepening), which finds a minimal-height derivation whenever one exists and
-reports Unknown when a limit binds.  Repeated sequents along a branch need
-no dedicated loop check: a proof with such a repeat can always be shortened
-past it, and the budget already bounds every branch.  The search keeps its
-own stack of suspended frames, one per open sequent, so the height of a
-proof costs heap, not Python frames.
+reports Unknown when a limit binds.  A node at budget 1, the frontier of a
+round, stops drawing instances at its first cut: only the axiom, drawn
+first, can succeed there, and the cut already makes its failure
+budget-limited.  Repeated sequents along a branch need no dedicated loop
+check: a proof with such a repeat can always be shortened past it, and the
+budget already bounds every branch.  The search keeps its own stack of
+suspended frames, one per open sequent, so the height of a proof costs
+heap, not Python frames.
 """
 
 from __future__ import annotations
@@ -78,7 +81,9 @@ class SearchStats(NamedTuple):
     # from a memo table, branches cut by the depth or height budget, sequents
     # refuted by their literals (a formula on one side cannot meet the other
     # side's literals at axioms; weakening and contraction off), invertible
-    # instances committed to, and splits skipped for a literal-refuted premise
+    # instances committed to, and splits skipped for a literal-refuted premise.
+    # With contraction, a node at budget 1 stops at its first cut, so there
+    # instances, memo_hits and cuts count up to that cut only
     instances: int = 0
     memo_hits: int = 0
     cuts: int = 0
