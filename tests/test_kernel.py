@@ -160,11 +160,11 @@ def _reference_instances(s, cfg):
                         splits *= context.count(g) + 1
                 out.append((name, f, None, splits))
                 continue
-            premises = tuple(
-                Sequent.of(rest + list(new), passive) if row.side == LEFT else Sequent.of(passive, rest + list(new))
-                for new in _REFERENCE_REPLACEMENTS[row.kind](f)
-            )
-            out.append((name, f, premises, None))
+            premises = []
+            for new in _REFERENCE_REPLACEMENTS[row.kind](f):
+                sides = (rest + list(new), passive)
+                premises.append(Sequent.of(*(sides if row.side == LEFT else reversed(sides))))
+            out.append((name, f, tuple(premises), None))
     return out
 
 
