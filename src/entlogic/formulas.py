@@ -8,9 +8,10 @@ disjoined with its own negation), and the maps that need to look inside an
 
 Formula terms are hash-consed: the constructors look every term up in one
 intern table, so structurally equal formulas are the same object.  Equality
-and hashing are therefore object identity, and each term's sort key is
-computed once, when it is built.  The table holds its terms weakly, so a term
-that nothing else references leaves it.
+and hashing are therefore object identity, and each term's sort key and its
+relevance summary (its literal mask and its relevance clauses on each side of
+a sequent) are computed once, when it is built.  The table holds its terms
+weakly, so a term that nothing else references leaves it.
 """
 
 from __future__ import annotations
@@ -64,14 +65,63 @@ class ShapeError(ValueError):
 _TERMS: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDictionary()
 
 
-def _intern(cls, fields: tuple, sort_key: tuple):
+def _intern(cls, fields: tuple, sort_key: tuple, relevance: tuple):
     """Build the term of class ``cls`` with ``fields`` and enter it in the
     table; if another thread entered one first, that one is returned."""
     term = object.__new__(cls)
     for name, value in zip(cls.__match_args__, fields):
         object.__setattr__(term, name, value)
     object.__setattr__(term, "sort_key", sort_key)
+    object.__setattr__(term, "relevance", relevance)
     return _TERMS.setdefault((cls, *fields), term)
+
+
+# Literal relevance (the lemma is in kernel.py).  A term's ``relevance`` is
+# (mask, left clauses, right clauses): the union of its literals' bits, and
+# the minimal clauses it requires of the other side when it stands on the
+# left or on the right, each clause a mask of which that side must hold a
+# literal.  A node with more than _CAP clauses keeps the one clause of its
+# whole mask instead, a weaker requirement that still holds, so a left
+# &-chain of (Ai | Bi) stays small.
+_CAP = 16
+
+# (literal class, atom name) -> the literal's bit in the relevance masks,
+# one for each literal seen in the process
+_BITS: dict[tuple[type, str], int] = {}
+
+
+def _literal_relevance(cls, name: str) -> tuple:
+    bit = _BITS.get((cls, name))
+    if bit is None:
+        bit = _BITS[cls, name] = 1 << len(_BITS)
+    return bit, (bit,), (bit,)
+
+
+def _clauses(either: bool, mask: int, left: tuple, right: tuple) -> tuple[int, ...]:
+    """The minimal clauses of a node whose operands have the clauses ``left``
+    and ``right``: their pairwise unions when one operand is enough
+    (``either``), else both operands' clauses."""
+    clauses = [a | b for a in left for b in right] if either else [*left, *right]
+    if len(clauses) > 1:  # keep the clauses no other clause is a subset of
+        minimal: list[int] = []
+        for c in sorted(clauses, key=int.bit_count):
+            for k in minimal:
+                if k & c == k:
+                    break
+            else:
+                minimal.append(c)
+        clauses = minimal if len(minimal) <= _CAP else [mask]
+    return tuple(clauses)
+
+
+def _binary_relevance(conn: Conn, left: tuple, right: tuple) -> tuple:
+    # one subformula is enough under & on the left and | on the right
+    mask = left[0] | right[0]
+    return (
+        mask,
+        _clauses(conn is Conn.WITH, mask, left[1], right[1]),
+        _clauses(conn is Conn.PLUS, mask, left[2], right[2]),
+    )
 
 
 class Frozen:
@@ -100,7 +150,7 @@ class _Term(Frozen):
     constructors, none of which recurses.  Equality and hashing stay
     ``object``'s (identity)."""
 
-    __slots__ = ("sort_key", "__weakref__")
+    __slots__ = ("sort_key", "relevance", "__weakref__")
 
     def __reduce__(self):
         # the distinct subterms in post-order, operands named by their row
@@ -142,7 +192,7 @@ class PosAtom(_Term):
     __slots__ = __match_args__ = ("name",)
 
     def __new__(cls, name: str) -> "PosAtom":
-        return _TERMS.get((cls, name)) or _intern(cls, (name,), (0, name, 0))
+        return _TERMS.get((cls, name)) or _intern(cls, (name,), (0, name, 0), _literal_relevance(cls, name))
 
     def __str__(self) -> str:
         return self.name
@@ -152,7 +202,7 @@ class NegAtom(_Term):
     __slots__ = __match_args__ = ("name",)
 
     def __new__(cls, name: str) -> "NegAtom":
-        return _TERMS.get((cls, name)) or _intern(cls, (name,), (0, name, 1))
+        return _TERMS.get((cls, name)) or _intern(cls, (name,), (0, name, 1), _literal_relevance(cls, name))
 
     def __str__(self) -> str:
         return "~" + self.name
@@ -163,7 +213,10 @@ class Binary(_Term):
 
     def __new__(cls, conn: Conn, left: "Formula", right: "Formula") -> "Binary":
         return _TERMS.get((cls, conn, left, right)) or _intern(
-            cls, (conn, left, right), (1, _CONN_INDEX[conn], left.sort_key, right.sort_key)
+            cls,
+            (conn, left, right),
+            (1, _CONN_INDEX[conn], left.sort_key, right.sort_key),
+            _binary_relevance(conn, left.relevance, right.relevance),
         )
 
     def __str__(self) -> str:

@@ -14,7 +14,6 @@ and rule gating all read those rows.
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -375,14 +374,15 @@ class ProofTree(Frozen):
 
 
 def _post_order(p: ProofTree) -> list[ProofTree]:
-    """Each distinct node of ``p`` once, after its subproofs."""
+    """Each distinct node of ``p`` once, after its subproofs, which are
+    visited in premise order."""
     done: dict[ProofTree, None] = {}  # trees hash by identity
     stack = [p]
     while stack:
         tree = stack[-1]
         pending = [c for c in tree.children if c not in done]
         if pending:  # come back once the subproofs are done
-            stack += pending
+            stack += reversed(pending)
         elif stack.pop() not in done:  # it may have been pushed by two parents
             done[tree] = None
     return list(done)
@@ -445,65 +445,9 @@ def axiom_check(s: Sequent) -> bool:
 # subformula, and the other connectives for both.  That requirement is a
 # conjunction of clauses "the other side has a literal of this mask", and a
 # sequent is refuted when a clause of one of its formulas fails (CHANGES.md).
-# The search applies this with contraction off too.
-
-# (literal class, atom name) -> the literal's bit in the relevance masks,
-# one for each literal seen in the process
-_BITS: dict[tuple[type, str], int] = {}
-
-# side -> formula -> (the union of its literals' bits, its minimal clauses on
-# that side), kept as long as the formula lives.  A node with more than
-# _CAP clauses keeps the one clause of its whole mask instead, a weaker
-# requirement that still holds, so a left &-chain of (Ai | Bi) stays small.
-_CAP = 16
-_CLAUSES: "dict[str, weakref.WeakKeyDictionary[Formula, tuple[int, tuple[int, ...]]]]" = {
-    LEFT: weakref.WeakKeyDictionary(),
-    RIGHT: weakref.WeakKeyDictionary(),
-}
-# the connective of which one subformula is enough, per side
-_EITHER = {LEFT: Conn.WITH, RIGHT: Conn.PLUS}
-
-
-def _bit(lit: Formula) -> int:
-    key = (type(lit), lit.name)
-    bit = _BITS.get(key)
-    if bit is None:
-        bit = _BITS[key] = 1 << len(_BITS)
-    return bit
-
-
-def _leaf(lit: Formula) -> tuple[int, tuple[int, ...]]:
-    bit = _bit(lit)
-    return bit, (bit,)
-
-
-def _relevance(f: Formula, side: str) -> tuple[int, tuple[int, ...]]:
-    """``f``'s literal mask and its minimal clauses on ``side``."""
-    table = _CLAUSES[side]
-    found = table.get(f)
-    if found is None:
-        either = _EITHER[side]
-
-        def node(g: Binary, left: tuple, right: tuple) -> tuple[int, tuple[int, ...]]:
-            if g.conn is either:
-                clauses = [a | b for a in left[1] for b in right[1]]
-            else:
-                clauses = [*left[1], *right[1]]
-            mask = left[0] | right[0]
-            if len(clauses) > 1:  # keep the clauses no other clause is a subset of
-                minimal: list[int] = []
-                for c in sorted(clauses, key=int.bit_count):
-                    for k in minimal:
-                        if k & c == k:
-                            break
-                    else:
-                        minimal.append(c)
-                clauses = minimal if len(minimal) <= _CAP else [mask]
-            return mask, tuple(clauses)
-
-        found = table[f] = fold(f, _leaf, node, table)
-    return found
-
+# The search applies this with contraction off too.  A formula's literal
+# mask and its clauses on each side are its term's ``relevance`` slot, (mask,
+# left clauses, right clauses), set when the term is built (formulas.py).
 
 # A multiset with its relevance masks: (pairs, lone, occurring, compound).
 # ``lone`` has the bits of its lone literals, ``occurring`` every literal in
@@ -520,13 +464,13 @@ def _half(pairs: Counts, side: str) -> _Half:
     rebuilding them (this runs once per node)."""
     lone = occurring = 0
     compound: tuple[int, ...] = ()
+    slot = 1 if side == LEFT else 2  # the side's clauses in the relevance slot
     for f, _ in pairs:
         if is_literal(f):
-            lone |= _bit(f)
+            lone |= f.relevance[0]
             continue
-        mask, clauses = _relevance(f, side)
-        occurring |= mask
-        for c in clauses:
+        occurring |= f.relevance[0]
+        for c in f.relevance[slot]:
             if c not in compound:
                 compound += (c,)
     return pairs, lone, occurring | lone, compound
@@ -696,9 +640,10 @@ def _splits(
     every part and ``second`` every rest."""
     counts = dict(pairs)
     splits: list[tuple[_Half, _Half]] = [(_EMPTY, _EMPTY)]
+    slot = 1 if side == LEFT else 2
     for g in sorted({*counts, first, second} - {None}, key=sort_key):
         m, one, two = counts.get(g, 0), int(g is first), int(g is second)
-        relevance, literal = _relevance(g, side), is_literal(g)
+        relevance, literal = (g.relevance[0], g.relevance[slot]), is_literal(g)
         splits = [
             (_add(part, g, k + one, relevance, literal), _add(rest, g, m - k + two, relevance, literal))
             for part, rest in splits

@@ -388,24 +388,14 @@ def _idempotence_pair(conn: Conn) -> tuple[Formula, Formula]:
     return Binary(conn, single, single), single
 
 
-# The probes' depth cap.  The contraction-only search space is infinite when
-# contraction does not rescue the goal, and where no model refutes the goal
-# the cap is what ends that search.
-# The deepest rescue among the idempotence pairs is 5 levels (3 for the X
-# pairs, 5 for the Q(A) pairs), so 8 finds every one.
-_PROBE_DEPTH = 8
-
-
 def _rescuers(
     goal: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits]
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The structural rules that alone prove ``goal``, and those whose probe ended Unknown."""
-    base = limits or SearchLimits()
-    probe = SearchLimits(min(base.max_depth, _PROBE_DEPTH), base.max_nodes)
     rescued, undetermined = [], []
     for name, single in ((WEAKENING, LogicConfig(True, False, cfg.at_mode, cfg.allow_ent)),
                          (CONTRACTION, LogicConfig(False, True, cfg.at_mode, cfg.allow_ent))):
-        result = prove(goal, single, probe)
+        result = prove(goal, single, limits)
         if result.is_provable:
             rescued.append(name)
         elif result.is_unknown:

@@ -332,18 +332,12 @@ def proof_to_dict(p: "kernel.ProofTree") -> dict:
     def binary(g: Binary, left: int, right: int) -> int:
         return row("formulas", [g.conn.value, left, right])
 
-    stack = [p]
-    while stack:  # post-order over the distinct nodes
-        tree = stack[-1]
-        pending = [c for c in tree.children if c not in rows]
-        if pending:
-            stack += reversed(pending)
-        elif stack.pop() not in rows:
-            s = tree.conclusion
-            if s not in rows:
-                sides = (s.antecedent, s.succedent)
-                rows[s] = row("sequents", [[fold(f, literal, binary, rows) for f in side] for side in sides])
-            rows[tree] = row("nodes", [rows[s], tree.node.rule, [rows[c] for c in tree.children]])
+    for tree in kernel._post_order(p):
+        s = tree.conclusion
+        if s not in rows:
+            sides = (s.antecedent, s.succedent)
+            rows[s] = row("sequents", [[fold(f, literal, binary, rows) for f in side] for side in sides])
+        rows[tree] = row("nodes", [rows[s], tree.node.rule, [rows[c] for c in tree.children]])
     return {"version": PROOF_VERSION, **tables, "root": rows[p]}
 
 

@@ -6,8 +6,8 @@ import weakref
 import pytest
 from hypothesis import given, settings
 
-from entlogic import kernel
-from entlogic.formulas import Binary, Conn, NegAtom, PosAtom, fold, qubit_of
+from entlogic import formulas
+from entlogic.formulas import Binary, Conn, NegAtom, PosAtom, dual, fold, qubit_of
 from entlogic.kernel import RULES, SPLIT, LogicConfig, Sequent, check_proof, literal_refuted, rule_instances
 from entlogic.search import (
     GoalRejectedError,
@@ -22,6 +22,7 @@ from entlogic.syntax import parse_formula, parse_sequent
 from strategies import sequents
 
 import oracle
+import strategies
 from conftest import BASIC, BASIC_EXPAND, CLASSICAL, CONTR_ONLY, LINEAR, WEAK_ONLY
 from test_acceptance import _enumerated_family
 
@@ -312,6 +313,34 @@ def test_attribution_table(token, preset, at_mode):
     ) == expected
 
 
+ALL_CONFIGS = [
+    LogicConfig(weakening, contraction, at_mode, allow_ent)
+    for weakening in (False, True)
+    for contraction in (False, True)
+    for at_mode in ("primitive", "expand")
+    for allow_ent in (False, True)
+]
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=repr)
+def test_every_rescue_probe_is_decided_at_the_default_limits(cfg):
+    # the probes run with the caller's limits and no depth cap of their own:
+    # at the default limits each proves within 5 levels or is refuted, so a
+    # cap at any depth from 5 up would change no report
+    for conn in Conn:
+        if not cfg.allow_ent and conn in (Conn.ENT, Conn.SEC):
+            continue
+        report = decide_idempotence(conn, cfg)
+        assert report.forward_undetermined == report.backward_undetermined == ()
+        for direction in (report.forward, report.backward):
+            if not direction.is_not_provable:
+                continue
+            for weakening in (True, False):
+                result = prove(direction.goal, LogicConfig(weakening, not weakening, cfg.at_mode, cfg.allow_ent))
+                assert result.is_provable or result.is_not_provable
+                assert not result.is_provable or result.proof.height() <= 5
+
+
 @pytest.mark.parametrize("at_mode", ["primitive", "expand"])
 @pytest.mark.parametrize("preset", ["basic", "classical"])
 def test_ent_and_sec_verdicts_match(preset, at_mode):
@@ -392,6 +421,12 @@ def test_literal_refutation_covers_compound_formulas():
     assert not oracle.provable(seq("A, B * C |- A"))
 
 
+def subterms(f):
+    found = {}
+    fold(f, lambda lit: None, lambda g, l, r: None, found)
+    return list(found)
+
+
 def test_clause_sets_stay_within_the_cap():
     # on the left, the &-chain of k disjunctions (Ai | Bi) has 2^k minimal
     # clauses; a node past the cap keeps its whole mask as its one clause
@@ -402,25 +437,82 @@ def test_clause_sets_stay_within_the_cap():
     assert prove(seq(chain + " |- A0 | B0"), BASIC).is_provable
     assert prove(seq(chain + " |- A0"), BASIC).is_not_provable
     assert time.perf_counter() - start < 1.0
-    for table in kernel._CLAUSES.values():
-        assert all(len(clauses) <= kernel._CAP for _mask, clauses in table.values())
+    whole = parse_formula(chain)
+    for f in subterms(whole):
+        _mask, left, right = f.relevance
+        assert len(left) <= formulas._CAP and len(right) <= formulas._CAP
+    assert whole.relevance[1] == (whole.relevance[0],)
 
 
 def test_dead_formulas_leave_the_clause_tables():
-    def own(table):
+    # the clauses are a slot of the term, so once the search has read them
+    # the formula still leaves memory with its last reference, and its terms
+    # leave the intern table
+    def own():
         def names(f):
             return {getattr(x, "name", None) for x in (f, getattr(f, "left", None), getattr(f, "right", None))}
 
-        return [f for f in table if "Fresh_clause_only_here" in names(f)]
+        return [f for f in list(formulas._TERMS.values()) if "Fresh_clause_only_here" in names(f)]
 
     f = Binary(Conn.TIMES, PosAtom("Fresh_clause_only_here"), NegAtom("Fresh_clause_only_here"))
     literal_refuted(Sequent((f,), (f,)))
-    assert [len(own(table)) for table in kernel._CLAUSES.values()] == [3, 3]
+    assert len(own()) == 3
     ref = weakref.ref(f)
     del f
     gc.collect()
     assert ref() is None
-    assert [own(table) for table in kernel._CLAUSES.values()] == [[], []]
+    assert own() == []
+
+
+def reference_relevance(f, side):
+    """``f``'s literals and its minimal clauses on ``side``, by plain recursion
+    from the definition in README's design notes, with each literal as its
+    (class, name) and each clause as a frozenset of literals."""
+    if isinstance(f, (PosAtom, NegAtom)):
+        literal = frozenset({(type(f), f.name)})
+        return literal, {literal}
+    left_mask, left = reference_relevance(f.left, side)
+    right_mask, right = reference_relevance(f.right, side)
+    mask = left_mask | right_mask
+    if f.conn is (Conn.WITH if side == "left" else Conn.PLUS):
+        clauses = {a | b for a in left for b in right}  # one subformula is enough
+    else:
+        clauses = left | right
+    minimal = {c for c in clauses if not any(k < c for k in clauses)}
+    return mask, minimal if len(minimal) <= 16 else {mask}
+
+
+def assert_slots_match_reference(f):
+    literal = {bit: key for key, bit in formulas._BITS.items()}
+
+    def decoded(mask):
+        return frozenset(literal[1 << i] for i in range(mask.bit_length()) if mask >> i & 1)
+
+    for g in subterms(f):
+        mask, *clauses = g.relevance
+        for side, own in zip(("left", "right"), clauses):
+            assert len(set(own)) == len(own)
+            assert (decoded(mask), {decoded(c) for c in own}) == reference_relevance(g, side)
+
+
+@settings(max_examples=300, deadline=None)
+@given(strategies.formulas(max_depth=4))
+def test_relevance_slot_matches_the_reference(f):
+    assert_slots_match_reference(f)
+
+
+def test_relevance_slot_matches_the_reference_past_the_cap():
+    # on the left each link has two clauses and & takes their pairwise
+    # unions, so the fifth link makes 32 and the chain keeps its mask; its
+    # dual does the same on the right
+    assert formulas._CAP == 16
+    chain = "(A0 | B0)"
+    for i in range(1, 5):
+        chain = f"({chain} & {f'(A{i} | B{i})' if i % 2 == 0 else f'(Q(A{i}) @ Q(B{i}))'})"
+    left = parse_formula(chain)
+    for f, slot in ((left, 1), (dual(left), 2)):
+        assert f.relevance[slot] == (f.relevance[0],)
+        assert_slots_match_reference(f)
 
 
 @pytest.mark.parametrize("k", range(4, 13))

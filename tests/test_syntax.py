@@ -183,6 +183,23 @@ def test_a_shared_subproof_is_one_node_row():
     assert print_proof(rebuilt, "text") == print_proof(tree, "text")
 
 
+def test_proof_tables_list_the_subproofs_in_premise_order(golden_proofs):
+    # each distinct node once, after its subproofs, the first premise's first
+    def post_order(tree, order):
+        for child in tree.children:
+            post_order(child, order)
+        if tree not in order:
+            order.append(tree)
+        return order
+
+    for tree, _ in golden_proofs:
+        order = post_order(tree, [])
+        nodes = proof_to_dict(tree)["nodes"]
+        assert [(rule, premises) for _, rule, premises in nodes] == [
+            (t.node.rule, [order.index(c) for c in t.children]) for t in order
+        ]
+
+
 # A |- A & A by &R over one shared axiom, then one edit per case
 _TABLE = {
     "version": 2,
