@@ -85,16 +85,29 @@ def _intern(cls, fields: tuple, sort_key: tuple, relevance: tuple):
 # &-chain of (Ai | Bi) stays small.
 _CAP = 16
 
-# (literal class, atom name) -> the literal's bit in the relevance masks,
-# one for each literal seen in the process
+# (literal class, atom name) -> the bit of that live literal in the relevance
+# masks.  A new literal takes the lowest bit no live literal holds, and its
+# bit is freed when it dies: a term holds its operands, so no live mask has
+# a dead literal's bit.  Threads that build literals at once can give two of
+# them one bit, which only weakens the relevance check.
 _BITS: dict[tuple[type, str], int] = {}
+_FREE = 0  # the mask of the freed bits
 
 
-def _literal_relevance(cls, name: str) -> tuple:
-    bit = _BITS.get((cls, name))
-    if bit is None:
-        bit = _BITS[cls, name] = 1 << len(_BITS)
-    return bit, (bit,), (bit,)
+def _literal(cls, name: str, sort_key: tuple):
+    """Intern a new literal of class ``cls``."""
+    global _FREE
+    key = (cls, name)
+    bit = _BITS[key] = _FREE & -_FREE or 1 << len(_BITS)
+    _FREE &= ~bit
+    term = _intern(cls, (name,), sort_key, (bit, (bit,), (bit,)))
+    weakref.finalize(term, _free, key).atexit = False
+    return term
+
+
+def _free(key: tuple[type, str]) -> None:
+    global _FREE
+    _FREE |= _BITS.pop(key)
 
 
 def _clauses(either: bool, mask: int, left: tuple, right: tuple) -> tuple[int, ...]:
@@ -192,7 +205,7 @@ class PosAtom(_Term):
     __slots__ = __match_args__ = ("name",)
 
     def __new__(cls, name: str) -> "PosAtom":
-        return _TERMS.get((cls, name)) or _intern(cls, (name,), (0, name, 0), _literal_relevance(cls, name))
+        return _TERMS.get((cls, name)) or _literal(cls, name, (0, name, 0))
 
     def __str__(self) -> str:
         return self.name
@@ -202,7 +215,7 @@ class NegAtom(_Term):
     __slots__ = __match_args__ = ("name",)
 
     def __new__(cls, name: str) -> "NegAtom":
-        return _TERMS.get((cls, name)) or _intern(cls, (name,), (0, name, 1), _literal_relevance(cls, name))
+        return _TERMS.get((cls, name)) or _literal(cls, name, (0, name, 1))
 
     def __str__(self) -> str:
         return "~" + self.name

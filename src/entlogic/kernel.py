@@ -449,43 +449,46 @@ def axiom_check(s: Sequent) -> bool:
 # mask and its clauses on each side are its term's ``relevance`` slot, (mask,
 # left clauses, right clauses), set when the term is built (formulas.py).
 
-# A multiset with its relevance masks: (pairs, lone, occurring, compound).
-# ``lone`` has the bits of its lone literals, ``occurring`` every literal in
-# it, and ``compound`` is the distinct clauses of its compound formulas.  A
-# literal's one clause is its own bit, so all its lone literals are checked
-# at once.
-_Half = tuple[Counts, int, int, tuple[int, ...]]
+# A multiset with its relevance masks: (pairs, occurring, clauses).
+# ``occurring`` has the bit of every literal in it, and ``clauses`` is the
+# distinct clauses its formulas require of the other side; a literal's one
+# clause is its own bit.
+_Half = tuple[Counts, int, tuple[int, ...]]
 
-_EMPTY: _Half = ((), 0, 0, ())
+_EMPTY: _Half = ((), 0, ())
+
+# a side -> the index of its clauses in a relevance slot
+_SLOT = {LEFT: 1, RIGHT: 2}
+
+
+def _add(half: _Half, g: Formula, n: int, slot: int) -> _Half:
+    """``half`` with ``n`` copies of ``g``, which sorts after its formulas,
+    on the side whose :data:`_SLOT` is ``slot``."""
+    if not n:
+        return half
+    pairs, occurring, clauses = half
+    relevance = g.relevance
+    for c in relevance[slot]:
+        if c not in clauses:
+            clauses += (c,)
+    return pairs + ((g, n),), occurring | relevance[0], clauses
 
 
 def _half(pairs: Counts, side: str) -> _Half:
-    """The half :func:`_add` would build from ``pairs`` on ``side``, without
-    rebuilding them (this runs once per node)."""
-    lone = occurring = 0
-    compound: tuple[int, ...] = ()
-    slot = 1 if side == LEFT else 2  # the side's clauses in the relevance slot
-    for f, _ in pairs:
-        if is_literal(f):
-            lone |= f.relevance[0]
-            continue
-        occurring |= f.relevance[0]
-        for c in f.relevance[slot]:
-            if c not in compound:
-                compound += (c,)
-    return pairs, lone, occurring | lone, compound
+    half, slot = _EMPTY, _SLOT[side]
+    for g, n in pairs:
+        half = _add(half, g, n, slot)
+    return half
 
 
 def _refuted(ante: _Half, succ: _Half) -> bool:
     """Some clause of a formula of one side has no literal on the other."""
-    _, ante_lone, ante_occurring, ante_compound = ante
-    _, succ_lone, succ_occurring, succ_compound = succ
-    if ante_lone & ~succ_occurring or succ_lone & ~ante_occurring:
-        return True
-    for mask in ante_compound:
+    _, ante_occurring, ante_clauses = ante
+    _, succ_occurring, succ_clauses = succ
+    for mask in ante_clauses:
         if not mask & succ_occurring:
             return True
-    for mask in succ_compound:
+    for mask in succ_clauses:
         if not mask & ante_occurring:
             return True
     return False
@@ -615,22 +618,6 @@ def countermodel(s: Sequent, cfg: LogicConfig) -> Optional[Countermodel]:
 # enumeration
 
 
-def _add(half: _Half, g: Formula, n: int, relevance: tuple, literal: bool) -> _Half:
-    """``half`` with ``n`` copies of ``g``, which sorts after its formulas and
-    has the mask and clauses ``relevance``."""
-    if not n:
-        return half
-    pairs, lone, occurring, compound = half
-    mask, clauses = relevance
-    pairs += ((g, n),)
-    if literal:
-        return pairs, lone | mask, occurring | mask, compound
-    for c in clauses:
-        if c not in compound:
-            compound += (c,)
-    return pairs, lone, occurring | mask, compound
-
-
 def _splits(
     pairs: Counts, side: str, first: Optional[Formula] = None, second: Optional[Formula] = None
 ) -> list:
@@ -640,12 +627,11 @@ def _splits(
     every part and ``second`` every rest."""
     counts = dict(pairs)
     splits: list[tuple[_Half, _Half]] = [(_EMPTY, _EMPTY)]
-    slot = 1 if side == LEFT else 2
+    slot = _SLOT[side]
     for g in sorted({*counts, first, second} - {None}, key=sort_key):
         m, one, two = counts.get(g, 0), int(g is first), int(g is second)
-        relevance, literal = (g.relevance[0], g.relevance[slot]), is_literal(g)
         splits = [
-            (_add(part, g, k + one, relevance, literal), _add(rest, g, m - k + two, relevance, literal))
+            (_add(part, g, k + one, slot), _add(rest, g, m - k + two, slot))
             for part, rest in splits
             for k in range(m + 1)
         ]

@@ -27,7 +27,6 @@ heap, not Python frames.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Generator, NamedTuple, Optional, Union
 
 from .formulas import Binary, Conn, Formula, PosAtom, dual, expand_connectives, qubit_of
@@ -410,16 +409,9 @@ def decide_idempotence(
 
     Failing directions are re-tried with each structural rule singly enabled
     to attribute which missing rule the direction needed; a probe that ends
-    Unknown makes its rule undetermined, not a non-rescuer.  Results are pure
-    and cached per (connective, configuration, limits).
+    Unknown makes its rule undetermined, not a non-rescuer.
     """
-    return _decide_idempotence_cached(Conn(connective), cfg, limits)
-
-
-@lru_cache(maxsize=512)
-def _decide_idempotence_cached(
-    conn: Conn, cfg: LogicConfig, limits: Optional[SearchLimits]
-) -> IdempotenceReport:
+    conn = Conn(connective)
     compound, single = _idempotence_pair(conn)
     eq = decide_equivalence(compound, single, cfg, limits)
     fwd = _rescuers(eq.forward.goal, cfg, limits) if eq.forward.is_not_provable else ((), ())

@@ -282,3 +282,20 @@ def test_dead_terms_leave_the_intern_table():
     gc.collect()
     assert ref() is None
     assert fresh_terms() == []
+
+
+def test_relevance_bits_of_dead_literals_are_reused():
+    def live_literals():
+        return sum(1 for key in list(formulas_module._TERMS) if key[0] in (PosAtom, NegAtom))
+
+    for k in range(6):
+        names = [f"Fresh_bit_{k}_{i}" for i in range(40)]
+        terms = [Binary(Conn.TIMES, PosAtom(name), NegAtom(name)) for name in names]
+        assert len(formulas_module._BITS) == live_literals()
+        del terms
+        gc.collect()
+        assert len(formulas_module._BITS) == live_literals()
+        # the lowest bit no live literal holds: at most one past them
+        probe = PosAtom(f"Fresh_bit_probe_{k}")
+        assert probe.relevance[0].bit_length() <= live_literals()
+        del probe

@@ -195,6 +195,22 @@ def test_rule_instances_follow_the_rule_table_order(s):
             assert j == len(groups)
 
 
+@settings(max_examples=200, deadline=None)
+@given(sequents(max_per_side=3, max_depth=2))
+def test_every_premise_is_canonical(s):
+    # premises are built by count arithmetic and the splits by adding each
+    # formula after the ones that sort before it, so each must equal the
+    # sequent built from its formulas by sorting
+    for cfg in (BASIC, WEAK_ONLY, CONTR_ONLY, CLASSICAL):
+        for prune in (None, lambda: None):
+            for inst in rule_instances(s, cfg, prune):
+                for p in inst.premises:
+                    canonical = Sequent(p.antecedent, p.succedent)
+                    assert p.ante_counts == canonical.ante_counts
+                    assert p.succ_counts == canonical.succ_counts
+                    assert hash(p) == hash(canonical)
+
+
 def test_check_proof_accepts_goldens(golden_proofs):
     for tree, cfg in golden_proofs:
         verdict = check_proof(tree, cfg)

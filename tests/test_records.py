@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 from entlogic.formulas import Binary, Conn, PosAtom, QubitFormula
+from entlogic import kernel
 from entlogic.kernel import CheckResult, LogicConfig, ProofTree, RuleInstance, Sequent, check_proof
 from entlogic.quantum import CloneOutcome, QuantumState, cat, tensor, try_clone, zero
 from entlogic.search import (
@@ -17,7 +18,6 @@ from entlogic.search import (
     SearchResult,
     SearchStats,
     decide_equivalence,
-    decide_idempotence,
     prove,
 )
 from entlogic.selfref import (
@@ -201,14 +201,13 @@ def test_records_are_immutable(cls, records):
 
 
 def test_configs_and_limits_compare_and_hash_by_value():
-    # they key decide_idempotence's cache
+    # a configuration keys the kernel's rule plans
     assert LogicConfig.preset("basic") == LogicConfig(False, False, "expand", True)
     assert hash(LogicConfig.preset("basic")) == hash(LogicConfig(False, False, "expand", True))
     assert LogicConfig.preset("basic") != LogicConfig.preset("basic", at_mode="primitive")
     assert SearchLimits(8) == SearchLimits(max_depth=8) and hash(SearchLimits(8)) == hash(SearchLimits(8))
     assert SearchLimits(8) != SearchLimits(9)
-    first = decide_idempotence("&", LogicConfig.preset("basic"), SearchLimits(8))
-    assert decide_idempotence("&", LogicConfig(False, False, "expand", True), SearchLimits(max_depth=8)) is first
+    assert kernel._plan(LogicConfig.preset("basic")) is kernel._plan(LogicConfig(False, False, "expand", True))
 
 
 def test_sentences_equal_only_sentences_of_their_class():
