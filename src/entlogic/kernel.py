@@ -559,59 +559,175 @@ def models(cfg: LogicConfig) -> tuple[Model, ...]:
     return tuple(m for m in MODELS if m.weakening or not cfg.weakening)
 
 
-def _literals(pairs: Counts) -> set[Formula]:
-    found: set[Formula] = set()
+# A model is evaluated under all its valuations at once.  A value in an
+# n-element chain is n bitmasks, its planes: bit i of plane t is set when the
+# value under valuation i is at least t, so plane 0 is all ones.  Every
+# operation is monotone, so plane t of x . y is the OR of x[a] & y[b] over
+# the minimal pairs (a, b) with a . b >= t, read from each table once, here.
+Planes = tuple[int, ...]
+
+
+def _minimal_pairs(table: tuple) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Level by level from t = 1, the minimal pairs (a, b) with
+    ``table[a][b] >= t``."""
+    span = range(len(table))
+    levels = []
+    for t in span[1:]:
+        above = [(a, b) for a in span for b in span if table[a][b] >= t]
+        levels.append(tuple((a, b) for a, b in above if (a - 1, b) not in above and (a, b - 1) not in above))
+    return tuple(levels)
+
+
+_PAIRS = {m.name: {conn: _minimal_pairs(table) for conn, table in m.ops.items()} for m in MODELS}
+
+
+def _combine(levels: tuple, ones: int, x: Planes, y: Planes) -> Planes:
+    out = [ones]
+    for level in levels:
+        plane = 0
+        for a, b in level:
+            plane |= x[a] & y[b]
+        out.append(plane)
+    return tuple(out)
+
+
+def _mask(pairs: Counts) -> int:
+    mask = 0
     for f, _ in pairs:
-        fold(f, found.add, lambda g, l, r: None)
-    return found
+        mask |= f.relevance[0]
+    return mask
 
 
-def _pointwise(table: tuple, xs: tuple[int, ...], ys: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(table[x][y] for x, y in zip(xs, ys))
+def _literals(s: Sequent, mask: int) -> list[Formula]:
+    """The literals of ``s`` whose relevance bits are in ``mask``, each once,
+    in canonical order."""
+    found, seen = [], set()
+    stack = [f for f, _ in s.ante_counts + s.succ_counts]
+    while stack:
+        g = stack.pop()
+        if g in seen or not g.relevance[0] & mask:
+            continue
+        seen.add(g)
+        if isinstance(g, Binary):
+            stack += (g.left, g.right)
+        else:
+            found.append(g)
+    return sorted(found, key=sort_key)
+
+
+# (model name, k) -> for k literals that run through their values: all
+# ones, the planes of the j-th literal, the empty sides (e, f) and the
+# extremes (bottom, top).  Valuation i gives the j-th literal the j-th
+# base-n digit of i, the first literal's the most significant.
+_FRAMES: dict[tuple[str, int], tuple] = {}
+
+
+def _frame(model: Model, k: int) -> tuple:
+    frame = _FRAMES.get((model.name, k))
+    if frame is None:
+        n = len(model.elements)
+        ones = (1 << n**k) - 1
+
+        def constant(value: int) -> Planes:
+            return (ones,) * (value + 1) + (0,) * (n - 1 - value)
+
+        digits = []
+        for j in range(k):
+            # digit j is at least t on the top n - t of every n blocks of d bits
+            d = n ** (k - 1 - j)
+            periods = ones // ((1 << n * d) - 1)
+            digits.append(tuple(((1 << (n - t) * d) - 1 << t * d) * periods for t in range(n)))
+        empty = constant(model.unit), constant(n - 1 - model.unit)
+        frame = _FRAMES[model.name, k] = ones, digits, empty, (constant(0), constant(n - 1))
+    return frame
+
+
+class _Layout:
+    """One model's valuations of one goal's literals (see
+    :class:`Evaluator`), and the planes of every term evaluated so far."""
+
+    __slots__ = ("model", "pairs", "left", "ones", "planes", "empty", "extremes")
+
+    def __init__(self, model: Model, shared: list[Formula], left: int):
+        self.model, self.pairs, self.left = model, _PAIRS[model.name], left
+        self.ones, digits, self.empty, self.extremes = _frame(model, len(shared))
+        self.planes: dict[Formula, Planes] = dict(zip(shared, digits))
+
+    def _leaf(self, lit: Formula) -> Planes:
+        return self.extremes[bool(lit.relevance[0] & self.left)]
+
+    def _node(self, g: Binary, x: Planes, y: Planes) -> Planes:
+        return _combine(self.pairs[g.conn], self.ones, x, y)
+
+    def value(self, f: Formula) -> Planes:
+        planes = self.planes
+        found = planes.get(f)
+        return found if found is not None else fold(f, self._leaf, self._node, planes)
+
+    def _side(self, pairs: Counts, empty: Planes, conn: Conn) -> Planes:
+        levels, ones, value = self.pairs[conn], self.ones, None
+        for f, count in pairs:
+            v = self.value(f)
+            for _ in range(count):
+                value = v if value is None else _combine(levels, ones, value, v)
+        return empty if value is None else value
+
+    def falsifying(self, s: Sequent) -> int:
+        """The mask of the valuations under which ``s`` is false."""
+        ante = self._side(s.ante_counts, self.empty[0], Conn.TIMES)
+        succ = self._side(s.succ_counts, self.empty[1], Conn.PAR)
+        mask = 0
+        for a, b in zip(ante, succ):
+            mask |= a & ~b
+        return mask
+
+
+class Evaluator:
+    """The models of :func:`models` evaluated on one goal and the sequents of
+    its search, each under one layout of valuations fixed by the goal.
+
+    Every operation is monotone, so a literal on one side of the goal only
+    takes the top on the left and the bottom on the right, and only the
+    literals on both sides run through their values; a model whose
+    valuations, n ** k for k such literals, exceed :data:`VALUATIONS` is
+    skipped.  No rule moves a formula across the turnstile, and premises
+    hold only subformulas on the same side, so every sequent of the search
+    has the goal's literals on the same sides: the layout loses none of its
+    countermodels, and a term's planes are computed once per goal."""
+
+    __slots__ = ("layouts",)
+
+    def __init__(self, goal: Sequent, cfg: LogicConfig):
+        left, right = _mask(goal.ante_counts), _mask(goal.succ_counts)
+        shared = _literals(goal, left & right)
+        self.layouts = [
+            _Layout(m, shared, left) for m in models(cfg) if len(m.elements) ** len(shared) <= VALUATIONS
+        ]
+
+    def falsifies(self, s: Sequent) -> bool:
+        """Some model is false on ``s`` under some valuation."""
+        return any(layout.falsifying(s) for layout in self.layouts)
+
+    def countermodel(self, s: Sequent) -> Optional[Countermodel]:
+        """The first model false on ``s``, and the lowest valuation under
+        which it is, read off the planes of each literal of ``s``."""
+        for layout in self.layouts:
+            mask = layout.falsifying(s)
+            if mask:
+                i = (mask & -mask).bit_length() - 1
+                elements = layout.model.elements
+                valuation = (
+                    (str(lit), elements[sum(plane >> i & 1 for plane in layout.value(lit)[1:])])
+                    for lit in _literals(s, -1)
+                )
+                return layout.model.name, tuple(valuation)
+        return None
 
 
 def countermodel(s: Sequent, cfg: LogicConfig) -> Optional[Countermodel]:
     """One of :func:`models` and a valuation of every literal of ``s`` under
-    which ``s`` is false there; None when no model tried falsifies it.
-
-    Every operation is monotone, so a literal on one side only takes the top
-    on the left and the bottom on the right.  The literals on both sides run
-    through every valuation at once: each formula is one fold whose values
-    are tuples, one element per valuation."""
-    left, right = _literals(s.ante_counts), _literals(s.succ_counts)
-    shared = sorted(left & right, key=sort_key)
-    for model in models(cfg):
-        n, ops = len(model.elements), model.ops
-        size = n ** len(shared)
-        if size > VALUATIONS:
-            continue
-        # valuation i gives the j-th shared literal the j-th base-n digit of i,
-        # the first literal's the most significant
-        digit = {lit: n ** (len(shared) - 1 - j) for j, lit in enumerate(shared)}
-        given = {lit: tuple(i // d % n for i in range(size)) for lit, d in digit.items()}
-
-        def side(pairs: Counts, extreme: int, empty: int, conn: Conn) -> tuple[int, ...]:
-            value = (empty,) * size
-            for f, count in pairs:
-                v = fold(
-                    f,
-                    lambda lit: given.get(lit, (extreme,) * size),
-                    lambda g, l, r: _pointwise(ops[g.conn], l, r),
-                )
-                for _ in range(count):
-                    value = _pointwise(ops[conn], value, v)
-            return value
-
-        top = n - 1
-        ante = side(s.ante_counts, top, model.unit, Conn.TIMES)
-        succ = side(s.succ_counts, 0, top - model.unit, Conn.PAR)
-        for i in range(size):
-            if ante[i] > succ[i]:
-                values = {lit: top if lit in left else 0 for lit in left ^ right}
-                values.update((lit, i // d % n) for lit, d in digit.items())
-                valuation = tuple((str(lit), model.elements[values[lit]]) for lit in sorted(values, key=sort_key))
-                return model.name, valuation
-    return None
+    which ``s`` is false there; None when no model tried falsifies it."""
+    return Evaluator(s, cfg).countermodel(s)
 
 
 # ---------------------------------------------------------------------------

@@ -3,22 +3,25 @@
 One engine decides every configuration: a memoised depth-first search for a
 proof of height at most a budget, run over a sequence of budgets.  A round
 that cuts no branch at its budget has swept the whole space, so its failure
-is a definitive NotProvable.  With contraction disabled every rule's premises
-are strictly smaller than its conclusion, so a single round at the depth
-limit suffices; a formula that cannot meet the other side's literals at
-axioms (weakening off too: a literal without its twin there, an ``&`` on the
-left or ``|`` on the right neither of whose subformulas can, another compound
-formula one of whose subformulas cannot) or a failed premise of an
-invertible rule then settles a sequent without a sweep.  With contraction
-enabled premises can grow and the space is usually infinite.  The goal is
-first evaluated in finite models that validate every enabled rule, and one
-that falsifies it settles it as NotProvable (``kernel.countermodel``);
-otherwise the rounds deepen the budget one step at a time (iterative
-deepening), which finds a minimal-height derivation whenever one exists and
-reports Unknown when a limit binds.  A node at budget 1, the frontier of a
-round, stops drawing instances at its first cut: only the axiom, drawn
-first, can succeed there, and the cut already makes its failure
-budget-limited.  Repeated sequents along a branch need no dedicated loop
+is a definitive NotProvable.  In every configuration a sequent false in a
+finite model that validates every enabled rule has no proof, so each node
+is evaluated in those models (``kernel.Evaluator``, built once per goal at
+the first node it is needed), and one that a model falsifies fails outright.
+With contraction disabled every rule's premises are strictly smaller than
+its conclusion, so a single round at the depth limit suffices; a formula
+that cannot meet the other side's literals at axioms (weakening off too: a
+literal without its twin there, an ``&`` on the left or ``|`` on the right
+neither of whose subformulas can, another compound formula one of whose
+subformulas cannot) or a failed premise of an invertible rule then settles
+a sequent without a sweep too.  With contraction enabled premises can grow
+and the space is usually infinite.  A goal a model falsifies is settled
+before any search, with the model and valuation as its certificate
+(``kernel.countermodel``); otherwise the rounds deepen the budget one step
+at a time (iterative deepening), which finds a minimal-height derivation
+whenever one exists and reports Unknown when a limit binds.  A node at
+budget 1, the frontier of a round, stops drawing instances at its first
+cut: only the axiom, drawn first, can succeed there, and the cut already
+makes its failure budget-limited.  Repeated sequents along a branch need no dedicated loop
 check: a proof with such a repeat can always be shortened past it, and the
 budget already bounds every branch.  The search keeps its own stack of
 suspended frames, one per open sequent, so the height of a proof costs
@@ -34,11 +37,11 @@ from .kernel import (
     AT_EXPAND,
     INVERTIBLE,
     Countermodel,
+    Evaluator,
     LogicConfig,
     ProofTree,
     Sequent,
     check_proof,
-    countermodel,
     literal_refuted,
     rule_instances,
 )
@@ -80,7 +83,8 @@ class SearchStats(NamedTuple):
     # from a memo table, branches cut by the depth or height budget, sequents
     # refuted by their literals (a formula on one side cannot meet the other
     # side's literals at axioms; weakening and contraction off), invertible
-    # instances committed to, and splits skipped for a literal-refuted premise.
+    # instances committed to, splits skipped for a literal-refuted premise,
+    # and sequents falsified by a finite model (literal refutation first).
     # With contraction, a node at budget 1 stops at its first cut, so there
     # instances, memo_hits and cuts count up to that cut only
     instances: int = 0
@@ -89,6 +93,7 @@ class SearchStats(NamedTuple):
     refuted: int = 0
     committed: int = 0
     pruned: int = 0
+    falsified: int = 0
 
 
 class SearchResult(NamedTuple):
@@ -157,9 +162,11 @@ class _Search:
     its answer is sent to the one below.
     """
 
-    def __init__(self, cfg: LogicConfig, limits: SearchLimits):
+    def __init__(self, cfg: LogicConfig, limits: SearchLimits, evaluator: Optional[Evaluator] = None):
         self.cfg = cfg
         self.limits = limits
+        self.evaluator = evaluator  # built for the goal at the first node it is needed
+        self.goal: Optional[Sequent] = None
         self.success, self.fail_at = (
             ({}, {}) if cfg.contraction else _MEMO.setdefault(_cfg_sig(cfg), ({}, {}))
         )
@@ -172,12 +179,14 @@ class _Search:
         self.refuted = 0
         self.committed = 0
         self.pruned = 0
+        self.falsified = 0
         # the prunings are used in the contraction-free regimes only (CHANGES.md);
         # where literal refutation is on, no split is built with a refuted premise
         self.refute, self.commit = not (cfg.weakening or cfg.contraction), not cfg.contraction
         self.prune = self._count_pruned if self.refute else None
 
     def run(self, goal: Sequent) -> tuple[Optional[ProofTree], Optional[str]]:
+        self.goal = goal
         top = self.limits.max_depth
         for budget in range(1, top + 1) if self.cfg.contraction else (top,):
             self.round = budget
@@ -236,6 +245,12 @@ class _Search:
             self.refuted += 1
             self.fail_at[seq] = _INF
             return None
+        if self.evaluator is None:  # built here, so a goal the literals refute never pays for it
+            self.evaluator = Evaluator(self.goal, self.cfg)
+        if self.evaluator.falsifies(seq):  # no proof at any height
+            self.falsified += 1
+            self.fail_at[seq] = _INF
+            return None
         cuts_before = self.cuts
         # the deepening frontier: at budget 1 no premise has a proof, so only
         # the axiom, drawn first, can succeed, and with contraction on nothing
@@ -273,28 +288,31 @@ class _Search:
 
     def stats(self) -> SearchStats:
         counters = (self.instances, self.memo_hits, self.cuts, self.refuted, self.committed, self.pruned)
-        return SearchStats(self.nodes, self.deepest, *counters)
+        return SearchStats(self.nodes, self.deepest, *counters, self.falsified)
 
 
 def prove(s: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits] = None) -> SearchResult:
     """Decide ``s`` under ``cfg``; sound and complete for the cut-free system.
 
     Provable results always carry a tree revalidated by the independent
-    checker.  NotProvable is only ever reported from a fully exhausted search
-    or, with contraction on, from a finite countermodel of the goal
+    checker.  NotProvable is only ever reported from a fully exhausted search,
+    where a sequent a finite model falsifies counts as swept, or, with
+    contraction on, from a finite countermodel of the goal
     (``countermodel``), never from a limit hit.
     """
     limits = limits or SearchLimits()
     if not cfg.allow_ent and s.contains_conn(Conn.ENT, Conn.SEC):
         raise GoalRejectedError(f"configuration {cfg.describe()!r} rejects goals containing @/$")
     goal = expand_sequent(s) if cfg.at_mode == AT_EXPAND else s
+    evaluator = None
     if cfg.contraction:  # where the search cannot be exhaustive, a model may settle the goal
-        found = countermodel(goal, cfg)
+        evaluator = Evaluator(goal, cfg)
+        found = evaluator.countermodel(goal)
         if found is not None:
             return SearchResult(NOT_PROVABLE, goal, None, None, SearchStats(0, 0), found)
 
     tree: Optional[ProofTree] = None
-    engine = _Search(cfg, limits)
+    engine = _Search(cfg, limits, evaluator)
     try:
         tree, limit_hit = engine.run(goal)
     except _Limit as cut:

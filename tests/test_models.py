@@ -21,9 +21,11 @@ from entlogic.kernel import (
     SPLIT,
     VALUATIONS,
     WEAKEN,
+    Evaluator,
     LogicConfig,
     countermodel,
     models,
+    rule_instances,
 )
 from entlogic.search import SearchLimits, prove
 from entlogic.syntax import parse_sequent
@@ -31,6 +33,7 @@ from strategies import sequents
 
 import countermodels
 import oracle
+from countermodels import ELEMENTS
 from conftest import BASIC, BASIC_EXPAND, CLASSICAL, CLASSICAL_EXPAND, CONTR_ONLY
 from test_acceptance import _enumerated_family
 
@@ -160,6 +163,27 @@ def test_the_monotone_shortcut_finds_what_brute_force_finds(s):
         if found is not None:
             assert found[0] == brute[0]  # B2 is tried first
             assert countermodels.falsified(found[0], s, dict(found[1]))
+
+
+STRUCTURAL = [LogicConfig(weakening, contraction, "primitive") for weakening, contraction in product((False, True), repeat=2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequents(max_per_side=3, max_depth=2))
+def test_the_goal_layout_decides_every_premise_as_brute_force_does(s):
+    # the evaluator built for a goal serves every sequent of its search: a
+    # premise is falsified exactly when some model that applies has a
+    # falsifying valuation of the premise's own literals
+    brute: dict = {}
+    for cfg in STRUCTURAL:
+        evaluator = Evaluator(s, cfg)
+        names = countermodels.applicable(cfg.weakening)
+        for inst in rule_instances(s, cfg):
+            for premise in inst.premises:
+                if premise not in brute:
+                    brute[premise] = [m for m in ELEMENTS if countermodels.refutation(m, premise) is not None]
+                expected = any(m in names for m in brute[premise])
+                assert evaluator.falsifies(premise) == expected, (cfg.describe(), str(premise))
 
 
 # The goals of the matrix's contraction-only rescue probes, by @ mode; each
