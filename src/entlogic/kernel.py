@@ -547,8 +547,9 @@ MODELS = (
     _model("M4", ("0", "e", "f", "1"), ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 3), (0, 3, 3, 3)), 1, False),
 )
 
-# A model is tried only when its valuations of the literals on both sides,
-# n ** k for k such literals, are at most this many.
+# A model is tried only when its valuations of the goal's literals on both
+# sides, n ** k for k such literals, are at most this many; otherwise it is
+# skipped for the goal's whole search.
 VALUATIONS = 4096
 
 Countermodel = tuple[str, tuple[tuple[str, str], ...]]  # (model, ((literal, element), ...))
@@ -569,7 +570,8 @@ Planes = tuple[int, ...]
 
 def _minimal_pairs(table: tuple) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Level by level from t = 1, the minimal pairs (a, b) with
-    ``table[a][b] >= t``."""
+    ``table[a][b] >= t``.  The table is monotone, so those pairs are an
+    up-set, and a pair is minimal when neither lower neighbour is in it."""
     span = range(len(table))
     levels = []
     for t in span[1:]:
@@ -582,6 +584,7 @@ _PAIRS = {m.name: {conn: _minimal_pairs(table) for conn, table in m.ops.items()}
 
 
 def _combine(levels: tuple, ones: int, x: Planes, y: Planes) -> Planes:
+    """``x . y`` for the connective whose minimal pairs are ``levels``."""
     out = [ones]
     for level in levels:
         plane = 0
@@ -592,6 +595,7 @@ def _combine(levels: tuple, ones: int, x: Planes, y: Planes) -> Planes:
 
 
 def _mask(pairs: Counts) -> int:
+    """The relevance bits of every literal of ``pairs``."""
     mask = 0
     for f, _ in pairs:
         mask |= f.relevance[0]

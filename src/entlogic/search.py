@@ -21,11 +21,11 @@ at a time (iterative deepening), which finds a minimal-height derivation
 whenever one exists and reports Unknown when a limit binds.  A node at
 budget 1, the frontier of a round, stops drawing instances at its first
 cut: only the axiom, drawn first, can succeed there, and the cut already
-makes its failure budget-limited.  Repeated sequents along a branch need no dedicated loop
-check: a proof with such a repeat can always be shortened past it, and the
-budget already bounds every branch.  The search keeps its own stack of
-suspended frames, one per open sequent, so the height of a proof costs
-heap, not Python frames.
+makes its failure budget-limited.  Repeated sequents along a branch need no
+dedicated loop check: a proof with such a repeat can always be shortened
+past it, and the budget already bounds every branch.  The search keeps its
+own stack of suspended frames, one per open sequent, so the height of a
+proof costs heap, not Python frames.
 """
 
 from __future__ import annotations
