@@ -33,7 +33,6 @@ from strategies import sequents
 
 import countermodels
 import oracle
-from countermodels import ELEMENTS
 from conftest import BASIC, BASIC_EXPAND, CLASSICAL, CLASSICAL_EXPAND, CONTR_ONLY
 from test_acceptance import _enumerated_family
 
@@ -165,7 +164,7 @@ def test_the_monotone_shortcut_finds_what_brute_force_finds(s):
             assert countermodels.falsified(found[0], s, dict(found[1]))
 
 
-STRUCTURAL = [LogicConfig(weakening, contraction, "primitive") for weakening, contraction in product((False, True), repeat=2)]
+STRUCTURAL = [cfg for cfg in CONFIGS if cfg.allow_ent]  # the four structural configurations
 
 
 @settings(max_examples=150, deadline=None)
@@ -181,7 +180,9 @@ def test_the_goal_layout_decides_every_premise_as_brute_force_does(s):
         for inst in rule_instances(s, cfg):
             for premise in inst.premises:
                 if premise not in brute:
-                    brute[premise] = [m for m in ELEMENTS if countermodels.refutation(m, premise) is not None]
+                    brute[premise] = [
+                        m for m in countermodels.ELEMENTS if countermodels.refutation(m, premise) is not None
+                    ]
                 expected = any(m in names for m in brute[premise])
                 assert evaluator.falsifies(premise) == expected, (cfg.describe(), str(premise))
 
