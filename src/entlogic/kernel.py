@@ -658,6 +658,8 @@ class _Layout:
         self.planes: dict[Formula, Planes] = dict(zip(shared, digits))
 
     def _leaf(self, lit: Formula) -> Planes:
+        """A literal on one side of the goal only, at its extreme: its bit is
+        in one side's relevance mask."""
         return self.extremes[bool(lit.relevance[0] & self.left)]
 
     def _node(self, g: Binary, x: Planes, y: Planes) -> Planes:
