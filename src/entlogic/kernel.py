@@ -503,6 +503,97 @@ def literal_refuted(s: Sequent) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# proof-height lower bounds
+
+# Two lower bounds on the height of a proof (the lemma is in CHANGES.md).
+# Count: a proof of height h has at most N(h) formula occurrences, where
+# N(1) = 2 and N(h) is the largest conclusion an enabled rule kind builds
+# from premises of N(h - 1) occurrences.  Literal depth: a leaf L |- L takes
+# its two L's from one formula on each side of the root, and each step of
+# the branch between them moves at most one of the two a level closer to
+# its L; without a split, each other occurrence of the root needs a step of
+# its own on that branch as well.  Premises hold only subformulas on the
+# same side, so a split can occur above a sequent only if a split row can
+# take one of its subformulas, on its side, as principal.
+
+# rule kind -> the largest conclusion it builds from premises of p
+# occurrences each, for the kinds whose conclusion can exceed p
+_GROWTH = {SPLIT: lambda p: 2 * p - 1, WEAKEN: lambda p: p + 1}
+
+_INF = float("inf")
+
+
+def _least(left: dict, right: dict, step: int) -> dict:
+    """The least depth of each literal of ``left`` and ``right``, maps from
+    literals to depths, taken ``step`` levels higher."""
+    depths = {lit: d + step for lit, d in left.items()}
+    for lit, d in right.items():
+        if d + step < depths.get(lit, _INF):
+            depths[lit] = d + step
+    return depths
+
+
+class HeightBound:
+    """The larger of the two bounds, for the sequents of one goal under
+    ``cfg``: 1 for an axiom, at least 2 for any other sequent, and ``inf``
+    where no proof can exist.  A term's summary on a side (whether a split
+    can take one of its subformulas as principal, and the least depth of
+    each of its literals) is computed at the first sequent that holds it,
+    and a sequent's bound at its first call."""
+
+    __slots__ = ("splits", "growth", "terms", "bounds")
+
+    def __init__(self, cfg: LogicConfig):
+        rows = [RULES[name] for name in ALL_RULES if cfg.rule_enabled(name)]
+        self.splits = {
+            side: {r.conn for r in rows if r.kind == SPLIT and r.side == side} for side in (LEFT, RIGHT)
+        }
+        self.growth = {r.kind: _GROWTH[r.kind] for r in rows if r.kind in _GROWTH}
+        self.terms: dict[str, dict] = {LEFT: {}, RIGHT: {}}  # side -> fold's value table
+        self.bounds: dict[Sequent, float] = {}
+
+    def __call__(self, s: Sequent) -> float:
+        bound = self.bounds.get(s)
+        if bound is None:
+            bound = self.bounds[s] = 1 if axiom_check(s) else self._bound(s)
+        return bound
+
+    def _summary(self, f: Formula, side: str) -> tuple[bool, dict]:
+        conns = self.splits[side]
+        return fold(
+            f,
+            lambda lit: (False, {lit: 0}),
+            lambda g, l, r: (g.conn in conns or l[0] or r[0], _least(l[1], r[1], 1)),
+            self.terms[side],
+        )
+
+    def _bound(self, s: Sequent) -> float:
+        split, least = False, []
+        for side, pairs in ((LEFT, s.ante_counts), (RIGHT, s.succ_counts)):
+            depths: dict = {}
+            for f, _ in pairs:
+                splits, below = self._summary(f, side)
+                split = split or splits
+                depths = _least(depths, below, 0)
+            least.append(depths)
+        left, right = least
+        n = sum(count for _, count in s.ante_counts + s.succ_counts)
+        meet = min((d + right[lit] for lit, d in left.items() if lit in right), default=_INF)
+        return max(2, 1 + meet + (0 if split else n - 2), self._count(n, split))
+
+    def _count(self, n: int, split: bool) -> float:
+        """The least h with N(h) >= n."""
+        growth = [g for kind, g in self.growth.items() if split or kind != SPLIT]
+        height, most = 1, 2
+        while most < n:
+            larger = max((g(most) for g in growth), default=most)
+            if larger == most:
+                return _INF
+            height, most = height + 1, larger
+        return height
+
+
+# ---------------------------------------------------------------------------
 # finite countermodels
 
 # A sequent reads in a finite algebra as ``*antecedent <= par succedent``, an

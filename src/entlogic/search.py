@@ -18,14 +18,15 @@ and the space is usually infinite.  A goal a model falsifies is settled
 before any search, with the model and valuation as its certificate
 (``kernel.countermodel``); otherwise the rounds deepen the budget one step
 at a time (iterative deepening), which finds a minimal-height derivation
-whenever one exists and reports Unknown when a limit binds.  A node at
-budget 1, the frontier of a round, stops drawing instances at its first
-cut: only the axiom, drawn first, can succeed there, and the cut already
-makes its failure budget-limited.  Repeated sequents along a branch need no
-dedicated loop check: a proof with such a repeat can always be shortened
-past it, and the budget already bounds every branch.  The search keeps its
-own stack of suspended frames, one per open sequent, so the height of a
-proof costs heap, not Python frames.
+whenever one exists and reports Unknown when a limit binds.  There a
+sequent whose proof-height lower bound (``kernel.HeightBound``) exceeds its
+budget is cut before it is expanded, as in IDA*: the cut removes only
+branches that would fail, and since every sequent but an axiom needs
+height 2, a round's frontier at budget 1 expands axioms only.  Repeated
+sequents along a branch need no dedicated loop check: a proof with such a
+repeat can always be shortened past it, and the budget already bounds
+every branch.  The search keeps its own stack of suspended frames, one per
+open sequent, so the height of a proof costs heap, not Python frames.
 """
 
 from __future__ import annotations
@@ -38,12 +39,14 @@ from .kernel import (
     INVERTIBLE,
     Countermodel,
     Evaluator,
+    HeightBound,
     LogicConfig,
     ProofTree,
     Sequent,
     check_proof,
     literal_refuted,
     rule_instances,
+    _INF,
 )
 
 PROVABLE = "provable"
@@ -84,9 +87,11 @@ class SearchStats(NamedTuple):
     # refuted by their literals (a formula on one side cannot meet the other
     # side's literals at axioms; weakening and contraction off), invertible
     # instances committed to, splits skipped for a literal-refuted premise,
-    # and sequents falsified by a finite model (literal refutation first).
-    # With contraction, a node at budget 1 stops at its first cut, so there
-    # instances, memo_hits and cuts count up to that cut only
+    # sequents falsified by a finite model (literal refutation first), and
+    # the cuts a height bound made at lookup, the rest of cuts being
+    # budget-limited failures the memo replayed.  The bound is
+    # kernel.HeightBound with contraction on and 1 without, so there
+    # bounded counts the cuts at the depth limit
     instances: int = 0
     memo_hits: int = 0
     cuts: int = 0
@@ -94,6 +99,7 @@ class SearchStats(NamedTuple):
     committed: int = 0
     pruned: int = 0
     falsified: int = 0
+    bounded: int = 0
 
 
 class SearchResult(NamedTuple):
@@ -134,7 +140,6 @@ def _cfg_sig(cfg: LogicConfig) -> tuple:
 # height); sequent -> the budget its search failed at (inf: failed outright).
 _Tables = tuple[dict[Sequent, ProofTree], dict[Sequent, float]]
 
-_INF = float("inf")
 _OPEN = object()  # a memo lookup's answer when the sequent must be searched
 
 # Tables shared across calls, one pair per configuration.  Only searches
@@ -180,6 +185,10 @@ class _Search:
         self.committed = 0
         self.pruned = 0
         self.falsified = 0
+        self.bounded = 0
+        # without contraction every proof's height bound is taken as 1, so a
+        # cut there is the depth limit, and an outright failure stays one
+        self.bound = HeightBound(cfg) if cfg.contraction else None
         # the prunings are used in the contraction-free regimes only (CHANGES.md);
         # where literal refutation is on, no split is built with a refuted premise
         self.refute, self.commit = not (cfg.weakening or cfg.contraction), not cfg.contraction
@@ -200,7 +209,9 @@ class _Search:
 
     def _lookup(self, seq: Sequent, budget: int):
         """The memo's answer for ``seq`` at ``budget``: a proof, None for a
-        failure, or ``_OPEN`` when the sequent has to be searched."""
+        failure, or ``_OPEN`` when the sequent has to be searched.  A
+        sequent whose height bound exceeds the budget is cut here, before
+        any frame is pushed for it."""
         cached = self.success.get(seq)
         if cached is not None and cached.height() <= budget:
             self.memo_hits += 1
@@ -211,8 +222,9 @@ class _Search:
             if failed_at != _INF:
                 self.cuts += 1  # that failure was budget-limited
             return None
-        if budget == 0:
+        if budget < (1 if self.bound is None else self.bound(seq)):
             self.cuts += 1
+            self.bounded += 1
             return None
         return _OPEN
 
@@ -252,10 +264,6 @@ class _Search:
             self.fail_at[seq] = _INF
             return None
         cuts_before = self.cuts
-        # the deepening frontier: at budget 1 no premise has a proof, so only
-        # the axiom, drawn first, can succeed, and with contraction on nothing
-        # settles a failure outright once a cut has made it budget-limited
-        frontier = budget == 1 and self.cfg.contraction
         for inst in rule_instances(seq, self.cfg, self.prune):
             self.instances += 1
             children: list[ProofTree] = []
@@ -275,8 +283,6 @@ class _Search:
                 self.committed += 1
                 self.fail_at[seq] = _INF
                 return None
-            if frontier and self.cuts != cuts_before:
-                break
         if self.cuts == cuts_before:
             self.fail_at[seq] = _INF
         elif self.cfg.contraction:  # a budget-limited failure: only for this call's tables
@@ -288,7 +294,7 @@ class _Search:
 
     def stats(self) -> SearchStats:
         counters = (self.instances, self.memo_hits, self.cuts, self.refuted, self.committed, self.pruned)
-        return SearchStats(self.nodes, self.deepest, *counters, self.falsified)
+        return SearchStats(self.nodes, self.deepest, *counters, self.falsified, self.bounded)
 
 
 def prove(s: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits] = None) -> SearchResult:

@@ -53,7 +53,7 @@ FIELDS = {
     SearchLimits: ("max_depth", "max_nodes"),
     SearchStats: (
         "nodes_expanded", "max_depth", "instances", "memo_hits", "cuts", "refuted", "committed", "pruned",
-        "falsified",
+        "falsified", "bounded",
     ),
     SearchResult: ("verdict", "goal", "proof", "limit_hit", "stats", "countermodel"),
     EquivalenceResult: ("verdict", "forward", "backward"),
@@ -148,7 +148,7 @@ def test_defaults(records):
     assert SearchLimits(7).max_nodes == 1_000_000 and SearchLimits(max_nodes=9).max_depth == 64
     assert LogicConfig() == LogicConfig(False, False, "expand", True)
     assert LogicConfig(True) == LogicConfig(weakening=True, at_mode="expand")
-    assert SearchStats(1, 2) == SearchStats(1, 2, 0, 0, 0, 0, 0, 0, 0)
+    assert SearchStats(1, 2) == SearchStats(1, 2, 0, 0, 0, 0, 0, 0, 0, 0)
     seq = Sequent.of((A,), (A,))
     assert RuleInstance("axiom", seq, ()).principal is None
     assert CheckResult(True).path == () and CheckResult(True).reason == ""

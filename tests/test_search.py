@@ -11,6 +11,7 @@ from entlogic.formulas import Binary, Conn, NegAtom, PosAtom, dual, fold, qubit_
 from entlogic.kernel import (
     RULES,
     SPLIT,
+    HeightBound,
     LogicConfig,
     Sequent,
     check_proof,
@@ -34,6 +35,7 @@ import oracle
 import strategies
 from conftest import BASIC, BASIC_EXPAND, CLASSICAL, CONTR_ONLY, LINEAR, WEAK_ONLY
 from test_acceptance import _enumerated_family
+from test_golden import SEARCH_CONFIGS
 
 
 def seq(text):
@@ -192,19 +194,68 @@ def test_a_countermodel_settles_a_contraction_goal_before_the_search():
 
 def test_deepening_frontier_stops_at_its_first_cut():
     # classically valid, so no model refutes it, and iterative deepening
-    # re-explores contraction and weakening of each Ci in every round.  At
-    # budget 1 a node stops drawing instances once it has counted a cut, so
-    # the nodes, depth and proof are what the whole frontier gave (6,201
-    # nodes, depth 5, 954 of them falsified by B2), from 48,191 instances
-    # instead of 278,202
+    # re-explores contraction and weakening of each Ci in every round.  A
+    # sequent whose height bound exceeds its budget is cut before it is
+    # expanded, which takes every non-axiom at budget 1.  The proof is the
+    # one the search without the bound found, from 40 nodes and 234
+    # instances where that search expanded 6,201 nodes (954 of them
+    # falsified by B2) and drew 48,191 instances.  No node deeper than 3 is
+    # expanded: the answers above come from the memo or the bound
     goal = seq("A par B, C0, C1, C2 |- D, C0, C1, C2")
     start = time.perf_counter()
     result = prove(goal, CLASSICAL)
     assert time.perf_counter() - start < 1.0
     assert result.is_provable and result.proof.height() == 5
     stats = result.stats
-    assert (stats.nodes_expanded, stats.max_depth, stats.instances) == (6201, 5, 48_191)
-    assert stats.falsified == 954
+    assert (stats.nodes_expanded, stats.max_depth, stats.instances) == (40, 3, 234)
+    assert (stats.falsified, stats.cuts, stats.bounded) == (0, 198, 198)
+
+
+def assert_no_subproof_beats_the_bound(proof, cfg):
+    bound = HeightBound(cfg)
+    for node in proof.iter_nodes():
+        assert node.height() >= bound(node.conclusion)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequents(max_per_side=2, max_depth=2))
+def test_height_bound_is_admissible(s):
+    # every subtree of every proof found under the five golden configurations
+    # is at least as tall as the bound of its conclusion; the searches
+    # without contraction never consult the bound, so their proofs check it
+    # independently of the cut
+    for _, cfg, limits in SEARCH_CONFIGS:
+        result = prove(s, cfg, limits)
+        if result.is_provable:
+            assert_no_subproof_beats_the_bound(result.proof, cfg)
+
+
+def test_golden_derivations_admit_the_height_bound(golden_proofs):
+    for proof, cfg in golden_proofs:
+        assert_no_subproof_beats_the_bound(proof, cfg)
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "text, bounds",
+    [
+        # no literal on both sides: no proof at all
+        ("|-", (INF, INF, INF, INF, INF)),
+        ("A |- B", (INF, INF, INF, INF, INF)),
+        ("A |- A", (1, 1, 1, 1, 1)),
+        # three occurrences and no split: only weakening can reach an axiom,
+        # in the two steps of the proof weak-L, axiom
+        ("A, B |- A", (INF, INF, 2, INF, 2)),
+        # parL splits the context: two steps, which is the proof's height
+        ("A par B |- A, B", (2, 2, 2, 2, 2)),
+    ],
+)
+def test_height_bound_fixed_cases(text, bounds):
+    # in the order of SEARCH_CONFIGS: basic/primitive, basic/expand,
+    # weakening-only, contraction-only and classical
+    assert tuple(HeightBound(cfg)(seq(text)) for _, cfg, _ in SEARCH_CONFIGS) == bounds
 
 
 def test_contraction_engine_can_exhaust_finite_spaces():
