@@ -6,7 +6,7 @@ trees use all 19 rules.  The enumeration pins fix the rule-name sequence that
 ``rule_instances`` generates for one small sequent per rule kind.
 ``golden_search.txt`` pins what ``prove`` returns (verdict, limit, node count,
 depth reached, the ``instances``, ``memo_hits``, ``cuts``, ``refuted``,
-``committed``, ``pruned`` and ``falsified`` work counters, the countermodel
+``committed``, ``pruned``, ``falsified`` and ``bounded`` work counters, the countermodel
 that settled the goal if one did, and the text proof) on a fixed goal set under five
 configurations, plus one depth-limited sequence that shares the memo across
 calls.  The counters pin the work done, not only its outcome, so a change to
@@ -120,6 +120,7 @@ def _entry(label, goal, result) -> str:
         f"{result.verdict} limit={result.limit_hit} nodes={s.nodes_expanded} depth={s.max_depth}"
         f" instances={s.instances} memo_hits={s.memo_hits} cuts={s.cuts}"
         f" refuted={s.refuted} committed={s.committed} pruned={s.pruned} falsified={s.falsified}"
+        f" bounded={s.bounded}"
         + (_countermodel(result.countermodel) if result.countermodel else ""),
     ]
     return "\n".join(head + ([print_proof(result.proof, "text")] if result.proof else []))
