@@ -632,15 +632,17 @@ def _model(name: str, elements: tuple[str, ...], times: tuple, unit: int, weaken
 # B2, the Boolean algebra: * is &, par is |.  It validates every rule.
 # M4, the chain 0 < e < f < 1: 0 absorbs, e is the unit and f * f = 1, so
 # x <= x * x validates contraction.  Weakening fails: |- holds (e <= f), and
-# A |- does not at A = 1.
+# A |- does not at A = 1.  Each model comes after those it subsumes: {0, 1}
+# of M4 is closed under its tables and restricts there to B2's, so M4
+# falsifies every sequent B2 does but |- (CHANGES.md), and an Evaluator
+# evaluates only the last model that serves the goal.
 MODELS = (
     _model("B2", ("0", "1"), ((0, 0), (0, 1)), 1, True),
     _model("M4", ("0", "e", "f", "1"), ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 3), (0, 3, 3, 3)), 1, False),
 )
 
-# A model is tried only when its valuations of the goal's literals on both
-# sides, n ** k for k such literals, are at most this many; otherwise it is
-# skipped for the goal's whole search.
+# A model serves a goal only when its valuations of the goal's literals on
+# both sides, n ** k for k such literals, are at most this many.
 VALUATIONS = 4096
 
 Countermodel = tuple[str, tuple[tuple[str, str], ...]]  # (model, ((literal, element), ...))
@@ -737,16 +739,32 @@ def _frame(model: Model, k: int) -> tuple:
     return frame
 
 
-class _Layout:
-    """One model's valuations of one goal's literals (see
-    :class:`Evaluator`), and the planes of every term evaluated so far."""
+class Evaluator:
+    """One model evaluated on one goal and the sequents of its search, under
+    one layout of valuations fixed by the goal, with the planes of every
+    term evaluated so far.
+
+    Every operation is monotone, so a literal on one side of the goal only
+    takes the top on the left and the bottom on the right, and only the
+    literals on both sides run through their values.  The model is the last
+    of :func:`models` whose valuations, n ** k for k such literals, are at
+    most :data:`VALUATIONS`; with none, nothing is falsified.  No rule moves
+    a formula across the turnstile, and premises hold only subformulas on
+    the same side, so every sequent of the search has the goal's literals on
+    the same sides: the layout loses none of the model's countermodels, and
+    a term's planes are computed once per goal."""
 
     __slots__ = ("model", "pairs", "left", "ones", "planes", "empty", "extremes")
 
-    def __init__(self, model: Model, shared: list[Formula], left: int):
-        self.model, self.pairs, self.left = model, _PAIRS[model.name], left
-        self.ones, digits, self.empty, self.extremes = _frame(model, len(shared))
-        self.planes: dict[Formula, Planes] = dict(zip(shared, digits))
+    def __init__(self, goal: Sequent, cfg: LogicConfig):
+        self.left = _mask(goal.ante_counts)
+        shared = _literals(goal, self.left & _mask(goal.succ_counts))
+        fits = [m for m in models(cfg) if len(m.elements) ** len(shared) <= VALUATIONS]
+        self.model = fits[-1] if fits else None
+        if self.model is not None:
+            self.pairs = _PAIRS[self.model.name]
+            self.ones, digits, self.empty, self.extremes = _frame(self.model, len(shared))
+            self.planes: dict[Formula, Planes] = dict(zip(shared, digits))
 
     def _leaf(self, lit: Formula) -> Planes:
         """A literal on one side of the goal only, at its extreme: its bit is
@@ -769,8 +787,10 @@ class _Layout:
                 value = v if value is None else _combine(levels, ones, value, v)
         return empty if value is None else value
 
-    def falsifying(self, s: Sequent) -> int:
+    def _falsifying(self, s: Sequent) -> int:
         """The mask of the valuations under which ``s`` is false."""
+        if self.model is None:
+            return 0
         ante = self._side(s.ante_counts, self.empty[0], Conn.TIMES)
         succ = self._side(s.succ_counts, self.empty[1], Conn.PAR)
         mask = 0
@@ -778,47 +798,22 @@ class _Layout:
             mask |= a & ~b
         return mask
 
-
-class Evaluator:
-    """The models of :func:`models` evaluated on one goal and the sequents of
-    its search, each under one layout of valuations fixed by the goal.
-
-    Every operation is monotone, so a literal on one side of the goal only
-    takes the top on the left and the bottom on the right, and only the
-    literals on both sides run through their values; a model whose
-    valuations, n ** k for k such literals, exceed :data:`VALUATIONS` is
-    skipped.  No rule moves a formula across the turnstile, and premises
-    hold only subformulas on the same side, so every sequent of the search
-    has the goal's literals on the same sides: the layout loses none of its
-    countermodels, and a term's planes are computed once per goal."""
-
-    __slots__ = ("layouts",)
-
-    def __init__(self, goal: Sequent, cfg: LogicConfig):
-        left, right = _mask(goal.ante_counts), _mask(goal.succ_counts)
-        shared = _literals(goal, left & right)
-        self.layouts = [
-            _Layout(m, shared, left) for m in models(cfg) if len(m.elements) ** len(shared) <= VALUATIONS
-        ]
-
     def falsifies(self, s: Sequent) -> bool:
-        """Some model is false on ``s`` under some valuation."""
-        return any(layout.falsifying(s) for layout in self.layouts)
+        """The model is false on ``s`` under some valuation."""
+        return self._falsifying(s) != 0
 
     def countermodel(self, s: Sequent) -> Optional[Countermodel]:
-        """The first model false on ``s``, and the lowest valuation under
-        which it is, read off the planes of each literal of ``s``."""
-        for layout in self.layouts:
-            mask = layout.falsifying(s)
-            if mask:
-                i = (mask & -mask).bit_length() - 1
-                elements = layout.model.elements
-                valuation = (
-                    (str(lit), elements[sum(plane >> i & 1 for plane in layout.value(lit)[1:])])
-                    for lit in _literals(s, -1)
-                )
-                return layout.model.name, tuple(valuation)
-        return None
+        """The model and the lowest valuation under which it is false on
+        ``s``, read off the planes of each literal of ``s``."""
+        mask = self._falsifying(s)
+        if not mask:
+            return None
+        i = (mask & -mask).bit_length() - 1
+        elements = self.model.elements
+        valuation = (
+            (str(lit), elements[sum(plane >> i & 1 for plane in self.value(lit)[1:])]) for lit in _literals(s, -1)
+        )
+        return self.model.name, tuple(valuation)
 
 
 def countermodel(s: Sequent, cfg: LogicConfig) -> Optional[Countermodel]:

@@ -5,10 +5,11 @@ proof of height at most a budget, run over a sequence of budgets.  A round
 that cuts no branch at its budget has swept the whole space, so its failure
 is a definitive NotProvable.  In every configuration a sequent false in a
 finite model that validates every enabled rule has no proof, so each node
-is evaluated in those models (``kernel.Evaluator``, built once per goal at
-the first node it is needed), and one that a model falsifies fails outright.
-With contraction disabled every rule's premises are strictly smaller than
-its conclusion, so a single round at the depth limit suffices; a formula
+is evaluated in one such model, the strongest that fits the goal
+(``kernel.Evaluator``, built once per goal at the first node it is needed),
+and one that the model falsifies fails outright.  With contraction
+disabled every rule's premises are strictly smaller than its conclusion,
+so a single round at the depth limit suffices; a formula
 that cannot meet the other side's literals at axioms (weakening off too: a
 literal without its twin there, an ``&`` on the left or ``|`` on the right
 neither of whose subformulas can, another compound formula one of whose
@@ -22,7 +23,8 @@ whenever one exists and reports Unknown when a limit binds.  There a
 sequent whose proof-height lower bound (``kernel.HeightBound``) exceeds its
 budget is cut before it is expanded, as in IDA*: the cut removes only
 branches that would fail, and since every sequent but an axiom needs
-height 2, a round's frontier at budget 1 expands axioms only.  Repeated
+height 2, a round's frontier at budget 1 expands axioms only.  A bound of
+``inf`` proves that the sequent has no proof, so it fails outright.  Repeated
 sequents along a branch need no dedicated loop check: a proof with such a
 repeat can always be shortened past it, and the budget already bounds
 every branch.  The search keeps its own stack of suspended frames, one per
@@ -88,7 +90,8 @@ class SearchStats(NamedTuple):
     # side's literals at axioms; weakening and contraction off), invertible
     # instances committed to, splits skipped for a literal-refuted premise,
     # sequents falsified by a finite model (literal refutation first), and
-    # the cuts a height bound made at lookup, the rest of cuts being
+    # the sequents a height bound settled at lookup: cut when the bound is
+    # finite, failed outright when it is inf.  The rest of cuts are
     # budget-limited failures the memo replayed.  The bound is
     # kernel.HeightBound with contraction on and 1 without, so there
     # bounded counts the cuts at the depth limit
@@ -210,8 +213,9 @@ class _Search:
     def _lookup(self, seq: Sequent, budget: int):
         """The memo's answer for ``seq`` at ``budget``: a proof, None for a
         failure, or ``_OPEN`` when the sequent has to be searched.  A
-        sequent whose height bound exceeds the budget is cut here, before
-        any frame is pushed for it."""
+        sequent whose height bound exceeds the budget is settled here,
+        before any frame is pushed for it: cut when the bound is finite,
+        failed outright when it is ``inf``."""
         cached = self.success.get(seq)
         if cached is not None and cached.height() <= budget:
             self.memo_hits += 1
@@ -222,9 +226,13 @@ class _Search:
             if failed_at != _INF:
                 self.cuts += 1  # that failure was budget-limited
             return None
-        if budget < (1 if self.bound is None else self.bound(seq)):
-            self.cuts += 1
+        bound = 1 if self.bound is None else self.bound(seq)
+        if budget < bound:
             self.bounded += 1
+            if bound == _INF:  # no proof at any height
+                self.fail_at[seq] = _INF
+            else:
+                self.cuts += 1
             return None
         return _OPEN
 

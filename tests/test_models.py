@@ -4,10 +4,11 @@ they produce, re-checked by the independent evaluator in ``countermodels``."""
 
 from itertools import product
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
-from entlogic.formulas import Conn
+from entlogic.formulas import Binary, Conn, NegAtom, PosAtom
 from entlogic.kernel import (
     AXIOM,
     BOTH,
@@ -23,6 +24,7 @@ from entlogic.kernel import (
     WEAKEN,
     Evaluator,
     LogicConfig,
+    Sequent,
     countermodel,
     models,
     rule_instances,
@@ -119,11 +121,13 @@ def test_every_rule_a_model_serves_preserves_validity(model):
 
 
 def test_oracle_provable_goals_are_valid_in_both_models():
-    # basic, where the oracle decides, is a sub-calculus of every configuration
+    # basic, where the oracle decides, is a sub-calculus of every
+    # configuration; the evaluator takes M4 for basic and B2 for classical
     checked = 0
     for s in _enumerated_family():
         if oracle.provable(s):
             assert countermodel(s, BASIC) is None, s
+            assert countermodel(s, CLASSICAL) is None, s
             checked += 1
     assert checked > 1000
 
@@ -151,16 +155,30 @@ def test_engine_verdicts_with_contraction_agree_with_the_models(s):
         _check_result(prove(s, cfg, limits), cfg)
 
 
+def _picked(s, cfg):
+    """The model the evaluator should take for goal ``s``: of those that
+    apply, the one with the most elements whose valuations of the literals
+    on both sides of ``s`` fit the cap; None when none does."""
+    left = set(countermodels.literals(Sequent.of(s.antecedent, ())))
+    right = set(countermodels.literals(Sequent.of((), s.succedent)))
+    sizes = {m: len(countermodels.ELEMENTS[m]) for m in countermodels.applicable(cfg.weakening)}
+    fits = [m for m, n in sizes.items() if n ** len(left & right) <= VALUATIONS]
+    return max(fits, key=sizes.get, default=None)
+
+
 @settings(max_examples=300, deadline=None)
 @given(sequents(max_per_side=3, max_depth=2))
 def test_the_monotone_shortcut_finds_what_brute_force_finds(s):
-    # one-sided literals at the extremes lose no countermodel
+    # one-sided literals at the extremes lose no countermodel of the model
+    # the evaluator picks
     for cfg in (CONTR_ONLY, CLASSICAL):
         found = countermodel(s, cfg)
-        brute = [m for m in countermodels.applicable(cfg.weakening) if countermodels.refutation(m, s) is not None]
-        assert (found is not None) == bool(brute)
+        picked = _picked(s, cfg)
+        model = Evaluator(s, cfg).model
+        assert (model and model.name) == picked
+        assert (found is not None) == (countermodels.refutation(picked, s) is not None)
         if found is not None:
-            assert found[0] == brute[0]  # B2 is tried first
+            assert found[0] == picked
             assert countermodels.falsified(found[0], s, dict(found[1]))
 
 
@@ -171,20 +189,38 @@ STRUCTURAL = [cfg for cfg in CONFIGS if cfg.allow_ent]  # the four structural co
 @given(sequents(max_per_side=3, max_depth=2))
 def test_the_goal_layout_decides_every_premise_as_brute_force_does(s):
     # the evaluator built for a goal serves every sequent of its search: a
-    # premise is falsified exactly when some model that applies has a
+    # premise is falsified exactly when the model picked for the goal has a
     # falsifying valuation of the premise's own literals
     brute: dict = {}
     for cfg in STRUCTURAL:
         evaluator = Evaluator(s, cfg)
-        names = countermodels.applicable(cfg.weakening)
+        picked = _picked(s, cfg)
         for inst in rule_instances(s, cfg):
             for premise in inst.premises:
                 if premise not in brute:
                     brute[premise] = [
                         m for m in countermodels.ELEMENTS if countermodels.refutation(m, premise) is not None
                     ]
-                expected = any(m in names for m in brute[premise])
+                expected = picked in brute[premise]
                 assert evaluator.falsifies(premise) == expected, (cfg.describe(), str(premise))
+
+
+_ABC = [lit for atom in "ABC" for lit in (PosAtom(atom), NegAtom(atom))]
+_ABC_FORMULAS = st.recursive(
+    st.sampled_from(_ABC), lambda sub: st.builds(Binary, st.sampled_from(list(Conn)), sub, sub), max_leaves=4
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(Sequent.of, st.lists(_ABC_FORMULAS, max_size=3), st.lists(_ABC_FORMULAS, max_size=3)))
+def test_m4_falsifies_every_sequent_b2_does_but_the_empty_one(s):
+    # {0, 1} of M4 is closed under its tables and restricts there to B2's,
+    # a one-sided literal sits at the same extreme in both, and the empty
+    # sides compare alike unless both are empty.  With at most 6 literals
+    # M4 fits the cap, so the evaluator loses no countermodel by dropping B2
+    assume(s.antecedent or s.succedent)
+    if countermodels.refutation("B2", s) is not None:
+        assert countermodels.refutation("M4", s) is not None, str(s)
 
 
 # The goals of the matrix's contraction-only rescue probes, by @ mode; each
@@ -207,8 +243,8 @@ def test_m4_settles_every_rescue_probe(text, cfg):
 
 
 def test_the_valuation_cap_skips_a_model():
-    # 7 literals on both sides: 4^7 valuations of M4 pass the cap, 2^7 of B2
-    # do not, and the goal is valid in B2
+    # 7 literals on both sides: 4^7 valuations of M4 exceed the cap, 2^7 of
+    # B2 do not, so B2 is evaluated, and the goal is valid in B2
     atoms = [f"A{i}" for i in range(7)]
     goal = parse_sequent(", ".join(atoms) + " |- " + " * ".join(atoms[:2]) + ", " + ", ".join(atoms[2:]))
     assert 4**7 > VALUATIONS >= 2**7

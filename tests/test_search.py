@@ -192,6 +192,22 @@ def test_a_countermodel_settles_a_contraction_goal_before_the_search():
     assert result.stats.nodes_expanded == 0
 
 
+@pytest.mark.parametrize("at_mode", ["primitive", "expand"])
+def test_an_infinite_height_bound_fails_outright(at_mode):
+    # 4^7 valuations put M4 over the cap, B2 validates the goal, and no
+    # split can take a subformula of it, so contraction leaves its 8
+    # occurrences unreachable from axioms of 2 and its height bound is inf:
+    # NotProvable at the root, with no round cut
+    cfg = CONTR_ONLY._replace(at_mode=at_mode)
+    result = prove(seq("A0, A1, A2, A3, A4, A5, A6 |- A0 & (A1 & (A2 & (A3 & (A4 & (A5 & A6)))))"), cfg)
+    assert result.is_not_provable and result.countermodel is None
+    assert (result.stats.nodes_expanded, result.stats.cuts, result.stats.bounded) == (0, 0, 1)
+    # |- holds in M4 and only B2 falsified it; its bound is inf as well
+    empty = prove(Sequent.of((), ()), cfg)
+    assert empty.is_not_provable and empty.countermodel is None
+    assert (empty.stats.cuts, empty.stats.bounded) == (0, 1)
+
+
 def test_deepening_frontier_stops_at_its_first_cut():
     # classically valid, so no model refutes it, and iterative deepening
     # re-explores contraction and weakening of each Ci in every round.  A
@@ -200,7 +216,8 @@ def test_deepening_frontier_stops_at_its_first_cut():
     # one the search without the bound found, from 40 nodes and 234
     # instances where that search expanded 6,201 nodes (954 of them
     # falsified by B2) and drew 48,191 instances.  No node deeper than 3 is
-    # expanded: the answers above come from the memo or the bound
+    # expanded: the answers above come from the memo or the bound, which
+    # fails a sequent outright where it is inf
     goal = seq("A par B, C0, C1, C2 |- D, C0, C1, C2")
     start = time.perf_counter()
     result = prove(goal, CLASSICAL)
@@ -208,7 +225,7 @@ def test_deepening_frontier_stops_at_its_first_cut():
     assert result.is_provable and result.proof.height() == 5
     stats = result.stats
     assert (stats.nodes_expanded, stats.max_depth, stats.instances) == (40, 3, 234)
-    assert (stats.falsified, stats.cuts, stats.bounded) == (0, 198, 198)
+    assert (stats.falsified, stats.cuts, stats.bounded) == (0, 108, 177)
 
 
 def assert_no_subproof_beats_the_bound(proof, cfg):
