@@ -632,10 +632,8 @@ def _model(name: str, elements: tuple[str, ...], times: tuple, unit: int, weaken
 # B2, the Boolean algebra: * is &, par is |.  It validates every rule.
 # M4, the chain 0 < e < f < 1: 0 absorbs, e is the unit and f * f = 1, so
 # x <= x * x validates contraction.  Weakening fails: |- holds (e <= f), and
-# A |- does not at A = 1.  Each model comes after those it subsumes: {0, 1}
-# of M4 is closed under its tables and restricts there to B2's, so M4
-# falsifies every sequent B2 does but |- (CHANGES.md), and an Evaluator
-# evaluates only the last model that serves the goal.
+# A |- does not at A = 1.  A model comes after those it subsumes: M4
+# falsifies every sequent that B2 does but |- (CHANGES.md).
 MODELS = (
     _model("B2", ("0", "1"), ((0, 0), (0, 1)), 1, True),
     _model("M4", ("0", "e", "f", "1"), ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 3), (0, 3, 3, 3)), 1, False),
@@ -740,19 +738,17 @@ def _frame(model: Model, k: int) -> tuple:
 
 
 class Evaluator:
-    """One model evaluated on one goal and the sequents of its search, under
-    one layout of valuations fixed by the goal, with the planes of every
-    term evaluated so far.
+    """The last model of :func:`models` that fits one goal, evaluated on the
+    goal and the sequents of its search under one layout of valuations.
 
     Every operation is monotone, so a literal on one side of the goal only
-    takes the top on the left and the bottom on the right, and only the
-    literals on both sides run through their values.  The model is the last
-    of :func:`models` whose valuations, n ** k for k such literals, are at
-    most :data:`VALUATIONS`; with none, nothing is falsified.  No rule moves
-    a formula across the turnstile, and premises hold only subformulas on
-    the same side, so every sequent of the search has the goal's literals on
-    the same sides: the layout loses none of the model's countermodels, and
-    a term's planes are computed once per goal."""
+    takes the top on the left and the bottom on the right, and only the k
+    literals on both sides run through their values: the model fits when
+    n ** k is at most :data:`VALUATIONS`.  No rule moves a formula across
+    the turnstile, and premises hold only subformulas on the same side, so
+    every sequent of the search has the goal's literals on the same sides:
+    the layout loses none of its countermodels, and a term's planes are
+    computed once per goal.  With no model that fits, none is falsified."""
 
     __slots__ = ("model", "pairs", "left", "ones", "planes", "empty", "extremes")
 
@@ -788,7 +784,7 @@ class Evaluator:
         return empty if value is None else value
 
     def _falsifying(self, s: Sequent) -> int:
-        """The mask of the valuations under which ``s`` is false."""
+        """The mask of the valuations under which the model is false on ``s``."""
         if self.model is None:
             return 0
         ante = self._side(s.ante_counts, self.empty[0], Conn.TIMES)
@@ -799,7 +795,6 @@ class Evaluator:
         return mask
 
     def falsifies(self, s: Sequent) -> bool:
-        """The model is false on ``s`` under some valuation."""
         return self._falsifying(s) != 0
 
     def countermodel(self, s: Sequent) -> Optional[Countermodel]:
@@ -817,8 +812,8 @@ class Evaluator:
 
 
 def countermodel(s: Sequent, cfg: LogicConfig) -> Optional[Countermodel]:
-    """One of :func:`models` and a valuation of every literal of ``s`` under
-    which ``s`` is false there; None when no model tried falsifies it."""
+    """The model :class:`Evaluator` takes for ``s`` and a valuation of every
+    literal of ``s`` under which ``s`` is false there; None when it is not."""
     return Evaluator(s, cfg).countermodel(s)
 
 
