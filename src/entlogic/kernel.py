@@ -795,6 +795,7 @@ class Evaluator:
         return mask
 
     def falsifies(self, s: Sequent) -> bool:
+        """The model is false on ``s`` under some valuation."""
         return self._falsifying(s) != 0
 
     def countermodel(self, s: Sequent) -> Optional[Countermodel]:
