@@ -202,7 +202,7 @@ def test_an_infinite_height_bound_fails_outright(at_mode):
     result = prove(seq("A0, A1, A2, A3, A4, A5, A6 |- A0 & (A1 & (A2 & (A3 & (A4 & (A5 & A6)))))"), cfg)
     assert result.is_not_provable and result.countermodel is None
     assert (result.stats.nodes_expanded, result.stats.cuts, result.stats.bounded) == (0, 0, 1)
-    # |- holds in M4 and only B2 falsified it; its bound is inf as well
+    # |- holds in M4, the model evaluated here; its bound is inf as well
     empty = prove(Sequent.of((), ()), cfg)
     assert empty.is_not_provable and empty.countermodel is None
     assert (empty.stats.cuts, empty.stats.bounded) == (0, 1)
