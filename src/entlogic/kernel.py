@@ -812,6 +812,13 @@ class Evaluator:
         return self.model.name, tuple(valuation)
 
 
+def boolean_countermodel(s: Sequent, true: Iterable[Formula]) -> Countermodel:
+    """B2 with the literals ``true`` at 1 and every other literal of ``s``
+    at 0."""
+    b2, true = MODELS[0], set(true)
+    return b2.name, tuple((str(lit), b2.elements[lit in true]) for lit in _literals(s, -1))
+
+
 def countermodel(s: Sequent, cfg: LogicConfig) -> Optional[Countermodel]:
     """The model :class:`Evaluator` takes for ``s`` and a valuation of every
     literal of ``s`` under which ``s`` is false there; None when it is not."""
@@ -886,20 +893,24 @@ def _by_conn(pairs: Counts) -> dict:
 
 
 def rule_instances(
-    s: Sequent, cfg: LogicConfig, prune: Optional[Callable[[], object]] = None
+    s: Sequent,
+    cfg: LogicConfig,
+    prune: Optional[Callable[[], object]] = None,
+    plan: Optional[tuple[_Step, ...]] = None,
 ) -> Iterator[RuleInstance]:
     """Every backward-applicable instance with conclusion ``s``, lazily.
 
-    The rows of ``cfg``'s plan are tried in order, and each row's principal
-    formulas in side order.  Principal choices and, for the context-splitting
-    rules, all multiset partitions of the side contexts are generated in a
-    fixed order, so a caller that stops early never builds the instances
-    after that point.  With ``prune``, the splits with a
-    :func:`literal_refuted` premise are left out, ``prune()`` is called once
-    for each, and the rest keep their order.
+    The rows of ``cfg``'s plan are tried in order, or those of ``plan``, a
+    sub-sequence of it, and each row's principal formulas in side order.
+    Principal choices and, for the context-splitting rules, all multiset
+    partitions of the side contexts are generated in a fixed order, so a
+    caller that stops early never builds the instances after that point.
+    With ``prune``, the splits with a :func:`literal_refuted` premise are
+    left out, ``prune()`` is called once for each, and the rest keep their
+    order.
     """
     index = None  # side -> the positions of its formulas by connective
-    for name, kind, side, conn, replacements in _plan(cfg):
+    for name, kind, side, conn, replacements in plan or _plan(cfg):
         if kind == AXIOM:
             if axiom_check(s):
                 yield RuleInstance(name, s, (), s.ante_counts[0][0])
@@ -916,6 +927,19 @@ def rule_instances(
             else:
                 premises = tuple(_orient(side, _plus(rest, new(f)), passive) for new in replacements)
                 yield RuleInstance(name, s, premises, f)
+
+
+def apply_rule(s: Sequent, name: str, f: Formula, kind: Optional[str] = None) -> RuleInstance:
+    """The instance of rule ``name`` on ``s`` with principal ``f``, a formula
+    on the rule's side.  Each premise holds in place of ``f`` what a rule of
+    ``kind`` puts there, the rule's own kind by default; a context-splitting
+    rule takes :data:`BRANCH`'s, so each of its premises keeps the whole
+    context."""
+    side = RULES[name].side
+    active, passive = (s.ante_counts, s.succ_counts) if side == LEFT else (s.succ_counts, s.ante_counts)
+    rest = _minus(active, [g for g, _ in active].index(f))
+    premises = tuple(_orient(side, _plus(rest, new(f)), passive) for new in _REPLACEMENTS[kind or RULES[name].kind])
+    return RuleInstance(name, s, premises, f)
 
 
 # ---------------------------------------------------------------------------

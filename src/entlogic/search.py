@@ -1,9 +1,17 @@
 """Backward proof search with definitive non-provability verdicts.
 
-One engine decides every configuration: a memoised depth-first search for a
-proof of height at most a budget, run over a sequence of budgets.  A round
-that cuts no branch at its budget has swept the whole space, so its failure
-is a definitive NotProvable.  In every configuration a sequent false in a
+With weakening and contraction both on (classical) a goal is decided by
+construction.  The calculus is then G3c over independent literals, so a
+goal is provable exactly when B2 validates it: a goal B2 falsifies is
+settled before anything is built, with the model and valuation as its
+certificate (``kernel.countermodel``), and the proof of any other is built
+in one pass that never retries a choice (``_Construction``).  Such a proof
+is not minimal-height, and only the node limit bounds its construction.
+
+Every other configuration is decided by one search: a memoised depth-first
+search for a proof of height at most a budget, run over a sequence of
+budgets.  A round that cuts no branch at its budget has swept the whole
+space, so its failure is a definitive NotProvable.  A sequent false in a
 finite model that validates every enabled rule has no proof, so each node
 is evaluated in one such model, the strongest that fits the goal
 (``kernel.Evaluator``, built once per goal at the first node it is needed),
@@ -14,10 +22,10 @@ that cannot meet the other side's literals at axioms (weakening off too: a
 literal without its twin there, an ``&`` on the left or ``|`` on the right
 neither of whose subformulas can, another compound formula one of whose
 subformulas cannot) or a failed premise of an invertible rule then settles
-a sequent without a sweep too.  With contraction enabled premises can grow
+a sequent without a sweep too.  With contraction alone premises can grow
 and the space is usually infinite.  A goal a model falsifies is settled
-before any search, with the model and valuation as its certificate
-(``kernel.countermodel``); otherwise the rounds deepen the budget one step
+before any search, as in the classical case; otherwise the rounds deepen
+the budget one step
 at a time (iterative deepening), which finds a minimal-height derivation
 whenever one exists and reports Unknown when a limit binds.  There a
 sequent whose proof-height lower bound (``kernel.HeightBound``) exceeds its
@@ -27,8 +35,8 @@ height 2, a round's frontier at budget 1 expands axioms only.  A bound of
 ``inf`` proves that the sequent has no proof, so it fails outright.  Repeated
 sequents along a branch need no dedicated loop check: a proof with such a
 repeat can always be shortened past it, and the budget already bounds
-every branch.  The search keeps its own stack of suspended frames, one per
-open sequent, so the height of a proof costs heap, not Python frames.
+every branch.  Both engines keep their own stack, one entry per open
+sequent, so the height of a proof costs heap, not Python frames.
 """
 
 from __future__ import annotations
@@ -38,17 +46,31 @@ from typing import Generator, NamedTuple, Optional, Union
 from .formulas import Binary, Conn, Formula, PosAtom, dual, expand_connectives, qubit_of
 from .kernel import (
     AT_EXPAND,
+    AXIOM,
+    BOTH,
+    BRANCH,
+    CONTRACT,
     INVERTIBLE,
+    LEFT,
+    PICK_LEFT,
+    PICK_RIGHT,
+    RIGHT,
+    SPLIT,
+    WEAKEN,
     Countermodel,
     Evaluator,
     HeightBound,
     LogicConfig,
     ProofTree,
+    RuleInstance,
     Sequent,
+    apply_rule,
+    boolean_countermodel,
     check_proof,
     literal_refuted,
     rule_instances,
     _INF,
+    _plan,
 )
 
 PROVABLE = "provable"
@@ -94,7 +116,10 @@ class SearchStats(NamedTuple):
     # finite, failed outright when it is inf.  The rest of cuts are
     # budget-limited failures the memo replayed.  The bound is
     # kernel.HeightBound with contraction on and 1 without, so there
-    # bounded counts the cuts at the depth limit
+    # bounded counts the cuts at the depth limit.  A classical construction
+    # fills nodes_expanded with the sequents it built, max_depth with its
+    # proof's height, instances with those it drew and falsified with those
+    # passed over for a premise B2 falsified; the rest stay 0
     instances: int = 0
     memo_hits: int = 0
     cuts: int = 0
@@ -169,6 +194,8 @@ class _Search:
     yields a premise the memo cannot answer, which is pushed, or returns, and
     its answer is sent to the one below.
     """
+
+    countermodel: Optional[Countermodel] = None  # the search certifies nothing
 
     def __init__(self, cfg: LogicConfig, limits: SearchLimits, evaluator: Optional[Evaluator] = None):
         self.cfg = cfg
@@ -305,6 +332,128 @@ class _Search:
         return SearchStats(self.nodes, self.deepest, *counters, self.falsified, self.bounded)
 
 
+_Chain = tuple[RuleInstance, ...]  # each instance's premise is the next one's conclusion, but the last's
+
+
+class _Construction:
+    """Builds a proof with weakening and contraction both on, in one pass
+    that never retries a choice.
+
+    The calculus is then G3c over independent literals, so a sequent is
+    provable exactly when B2 validates it.  At each sequent the first
+    instance of the search's plan, less its contraction and split rows,
+    whose premises the goal's model all validates is taken; weakening comes
+    first, so contexts shrink before anything branches.  Where none
+    qualifies, or no model fits the goal, one G3c step is taken on the
+    first compound formula (``_STEPS``), and a sequent of literals weakens
+    down to ``L |- L``.  Each step is a chain of instances, and each lowers
+    (connectives, occurrences).  Every premise taken is valid in B2, so the
+    construction fails only past B2's valuation cap, at a leaf with no
+    literal on both sides: the G3c steps are invertible, so the leaf's
+    falsifying valuation falsifies the goal too.  The sequents are built
+    from an explicit stack, each distinct one once.
+    """
+
+    def __init__(self, cfg: LogicConfig, limits: SearchLimits, evaluator: Evaluator):
+        self.cfg, self.limits, self.evaluator = cfg, limits, evaluator
+        plan = _plan(cfg)
+        self.plan = tuple(step for step in plan if step[1] not in (CONTRACT, SPLIT))
+        self.names = {(kind, side, conn): name for name, kind, side, conn, _ in plan}
+        self.first: dict[tuple, tuple[str, str]] = {}  # (side, connective) -> its first row's kind and name
+        for name, kind, side, conn, _ in plan:
+            if conn is not None:
+                self.first.setdefault((side, conn), (kind, name))
+        self.nodes = self.instances = self.falsified = self.height = 0
+        self.countermodel: Optional[Countermodel] = None  # a failed leaf's valuation
+
+    def run(self, goal: Sequent) -> tuple[Optional[ProofTree], None]:
+        built: dict[Sequent, ProofTree] = {}
+        chains: dict[Sequent, _Chain] = {}  # a sequent on the stack -> its step
+        stack = [goal]
+        while stack:
+            seq = stack[-1]
+            chain = chains.get(seq)
+            if chain is None:
+                chain = chains[seq] = self._step(seq)
+                if not chain:
+                    self.countermodel = boolean_countermodel(goal, seq.antecedent)
+                    return None, None
+                self.nodes += len(chain)
+                if self.nodes > self.limits.max_nodes:
+                    raise _Limit("nodes")
+                stack += [p for p in chain[-1].premises if p not in built]
+                continue
+            stack.pop()
+            if seq not in built:  # else it was pushed twice
+                tree = ProofTree(chain[-1], tuple(built[p] for p in chain[-1].premises))
+                for inst in reversed(chain[:-1]):
+                    tree = ProofTree(inst, (tree,))
+                built[seq] = tree
+        self.height = built[goal].height()
+        return built[goal], None
+
+    def _step(self, seq: Sequent) -> _Chain:
+        """The step taken at ``seq``; empty at a leaf that fails."""
+        falsifies = self.evaluator.falsifies
+        if self.evaluator.model is not None:
+            for inst in rule_instances(seq, self.cfg, None, self.plan):
+                self.instances += 1
+                if not any(map(falsifies, inst.premises)):
+                    return (inst,)
+                self.falsified += 1
+        for side, pairs in ((LEFT, seq.ante_counts), (RIGHT, seq.succ_counts)):
+            for f, _ in pairs:
+                if isinstance(f, Binary):
+                    kind, name = self.first[side, f.conn]
+                    return _STEPS[kind](self, seq, side, f, name)
+        succ = dict(seq.succ_counts)
+        shared = next((lit for lit, _ in seq.ante_counts if lit in succ), None)
+        if shared is None:
+            return ()
+        chain, axiom = self._each(WEAKEN, seq, ((LEFT, shared), (RIGHT, shared)))
+        return (*chain, RuleInstance(self.names[AXIOM, None, None], axiom, (), shared))
+
+    def _each(self, kind: str, seq: Sequent, spared: tuple) -> tuple[list[RuleInstance], Sequent]:
+        """The structural row of ``kind`` applied once to each occurrence of
+        ``seq`` but the (side, formula) occurrences ``spared``, and the
+        sequent it ends at."""
+        chain = []
+        for side, pairs in ((LEFT, seq.ante_counts), (RIGHT, seq.succ_counts)):
+            name = self.names[kind, side, None]
+            for g, n in pairs:
+                for _ in range(n - ((side, g) in spared)):
+                    chain.append(apply_rule(seq, name, g))
+                    seq = chain[-1].premises[0]
+        return chain, seq
+
+    def _as_is(self, seq: Sequent, side: str, f: Binary, name: str) -> _Chain:
+        return (apply_rule(seq, name, f),)
+
+    def _picks(self, seq: Sequent, side: str, f: Binary, name: str) -> _Chain:
+        """``&L`` or ``|R``: contract ``f``, then one pick on each copy."""
+        twice = apply_rule(seq, self.names[CONTRACT, side, None], f)
+        one = apply_rule(twice.premises[0], name, f)
+        return twice, one, apply_rule(one.premises[0], self.names[PICK_RIGHT, side, f.conn], f)
+
+    def _split(self, seq: Sequent, side: str, f: Binary, name: str) -> _Chain:
+        """Contract each context occurrence once, then split, giving each
+        premise a full copy of the context."""
+        chain, doubled = self._each(CONTRACT, seq, ((side, f),))
+        return (*chain, apply_rule(seq, name, f, BRANCH)._replace(conclusion=doubled))
+
+    def stats(self) -> SearchStats:
+        return SearchStats(self.nodes, self.height, self.instances, falsified=self.falsified)
+
+
+# a logical row's kind -> the G3c step on its principal formula
+_STEPS = {
+    BOTH: _Construction._as_is,
+    BRANCH: _Construction._as_is,
+    PICK_LEFT: _Construction._picks,
+    SPLIT: _Construction._split,
+}
+
+
 def prove(s: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits] = None) -> SearchResult:
     """Decide ``s`` under ``cfg``; sound and complete for the cut-free system.
 
@@ -326,7 +475,7 @@ def prove(s: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits] = None) -
             return SearchResult(NOT_PROVABLE, goal, None, None, SearchStats(0, 0), found)
 
     tree: Optional[ProofTree] = None
-    engine = _Search(cfg, limits, evaluator)
+    engine = (_Construction if cfg.weakening and cfg.contraction else _Search)(cfg, limits, evaluator)
     try:
         tree, limit_hit = engine.run(goal)
     except _Limit as cut:
@@ -343,7 +492,7 @@ def prove(s: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits] = None) -
         return SearchResult(PROVABLE, goal, tree, None, stats)
     if limit_hit is not None:
         return SearchResult(UNKNOWN, goal, None, limit_hit, stats)
-    return SearchResult(NOT_PROVABLE, goal, None, None, stats)
+    return SearchResult(NOT_PROVABLE, goal, None, None, stats, engine.countermodel)
 
 
 # ---------------------------------------------------------------------------

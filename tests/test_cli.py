@@ -109,6 +109,24 @@ def test_stuck_classical_goal_is_refuted_by_b2(capsys):
     assert json.loads(out)["countermodel"] == {"model": "B2", "valuation": {"A": "1", "B": "1", "C": "1", "D": "0"}}
 
 
+@pytest.mark.parametrize("k", [8, 16])
+def test_wide_classical_goal_is_built_at_once(capsys, k):
+    # iterative deepening took 4.5 s at k = 5, re-exploring contraction and
+    # weakening of each Ci in every round.  The construction weakens the
+    # goal down to an axiom, guided by B2 at k = 8; at k = 16, past B2's
+    # valuation cap, it decomposes A par B and weakens each premise
+    cs = ", ".join(f"C{i}" for i in range(k))
+    text = f"A par B, {cs} |- D, {cs}"
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "prove", text, "--logic", "classical", "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(out)
+    assert (code, payload["verdict"]) == (0, "provable")
+    tree = proof_from_dict(payload["proof"])
+    assert tree.conclusion == parse_sequent(text)
+    assert check_proof(tree, LogicConfig.preset("classical"))
+
+
 @pytest.mark.parametrize("at_mode", ["primitive", "expand"])
 @pytest.mark.parametrize("text", ["A par B, C |- D", "|-", "Q(A) @ Q(B) |- A", "A * ~A |- Q(B) $ Q(B), C"])
 def test_json_countermodel_is_a_certificate(capsys, text, at_mode):
@@ -214,7 +232,7 @@ def test_idempotence_marks_an_unknown_probe_undetermined(capsys):
 def test_idempotence_indeterminate_exits_2(capsys):
     code, out, _ = run(
         capsys, "idempotence", "@", "--logic", "classical",
-        "--max-depth", "2", "--max-nodes", "40",
+        "--max-depth", "2", "--max-nodes", "5",
     )
     assert code == 2
     assert "indeterminate" in out
@@ -374,7 +392,7 @@ def test_search_option_before_the_quantum_command_is_named(capsys, option):
 @pytest.mark.parametrize("argv", [("selfref", "@", "--logic", "classical"), ("report-matrix",)])
 def test_analysis_left_open_by_a_limit_exits_2(capsys, argv):
     # an indeterminate idempotence verdict is a search limit, not a crash (70)
-    code, out, err = run(capsys, *argv, "--max-depth", "2", "--max-nodes", "40")
+    code, out, err = run(capsys, *argv, "--max-depth", "2", "--max-nodes", "5")
     assert code == 2
     assert out == ""
     assert err.startswith("unknown: ") and "indeterminate" in err

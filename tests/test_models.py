@@ -29,7 +29,7 @@ from entlogic.kernel import (
     models,
     rule_instances,
 )
-from entlogic.search import SearchLimits, prove
+from entlogic.search import SearchLimits, expand_sequent, prove
 from entlogic.syntax import parse_sequent
 from strategies import sequents
 
@@ -153,6 +153,38 @@ def test_engine_verdicts_with_contraction_agree_with_the_models(s):
     limits = SearchLimits(max_depth=5, max_nodes=500)
     for cfg in (CONTR_ONLY, CLASSICAL):
         _check_result(prove(s, cfg, limits), cfg)
+
+
+def _padded(s, width: int) -> Sequent:
+    """``s`` with ``C0 * (... * Cw)`` added on the left and
+    ``C0 & (... & (Cw & E))`` on the right, for w = ``width`` - 1.  The
+    added literals are fresh and the added pair alone is false in B2 at
+    E = 0, so the goal is valid in B2 exactly when ``s`` is, and its
+    ``width`` literals on both sides put it past B2's valuation cap."""
+    cs = [PosAtom(f"C{i}") for i in range(width)]
+    left, right = cs[-1], Binary(Conn.WITH, cs[-1], PosAtom("E"))
+    for c in reversed(cs[:-1]):
+        left, right = Binary(Conn.TIMES, c, left), Binary(Conn.WITH, c, right)
+    return Sequent.of(s.antecedent + (left,), s.succedent + (right,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sequents(max_per_side=2, max_depth=2), st.sampled_from([0, 13]))
+def test_classical_verdicts_are_brute_force_b2(s, width):
+    # with weakening and contraction on, a goal is provable exactly when B2
+    # validates it.  Padded past the cap, no model fits the goal, so the
+    # construction decomposes it unguided, and an invalid one fails at a
+    # leaf whose valuation is the certificate
+    for cfg in (CLASSICAL, CLASSICAL_EXPAND):
+        searched = expand_sequent(s) if cfg.at_mode == "expand" else s
+        valid = countermodels.refutation("B2", searched) is None
+        result = prove(_padded(s, width) if width else s, cfg)
+        assert (Evaluator(result.goal, cfg).model is None) == bool(width)
+        assert result.is_provable == valid and not result.is_unknown
+        if result.is_not_provable:
+            name, valuation = result.countermodel
+            assert countermodels.falsified(name, result.goal, dict(valuation))
+            assert sorted(lit for lit, _ in valuation) == countermodels.literals(result.goal)
 
 
 def _picked(s, cfg):

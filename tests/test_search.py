@@ -104,8 +104,10 @@ def test_node_limit_reports_unknown_not_notprovable():
 
 
 def test_depth_limit_reports_unknown():
+    # the classical construction takes no depth limit, so the reflection
+    # direction is left open under contraction alone, where it needs height 5
     limits = SearchLimits(max_depth=2)
-    result = prove(seq("Q(A) |- Q(A)@Q(A)"), CLASSICAL, limits)
+    result = prove(seq("Q(A)@Q(A) |- Q(A)"), CONTR_ONLY, limits)
     assert result.is_unknown
     assert result.limit_hit == "depth"
 
@@ -209,23 +211,22 @@ def test_an_infinite_height_bound_fails_outright(at_mode):
 
 
 def test_deepening_frontier_stops_at_its_first_cut():
-    # classically valid, so no model refutes it, and iterative deepening
-    # re-explores contraction and weakening of each Ci in every round.  A
-    # sequent whose height bound exceeds its budget is cut before it is
-    # expanded, which takes every non-axiom at budget 1.  The proof is the
-    # one the search without the bound found, from 40 nodes and 234
-    # instances where that search expanded 6,201 nodes (954 of them
-    # falsified by B2) and drew 48,191 instances.  No node deeper than 3 is
-    # expanded: the answers above come from the memo or the bound, which
-    # fails a sequent outright where it is inf
-    goal = seq("A par B, C0, C1, C2 |- D, C0, C1, C2")
+    # valid in M4, so no model refutes it, and iterative deepening
+    # re-explores contraction on both sides in every round.  A sequent whose
+    # height bound exceeds its budget is cut before it is expanded, which
+    # takes every non-axiom at budget 1.  The proof is the one the search
+    # without the bound found, from 19 nodes and 103 instances where that
+    # search expanded 86 nodes and drew 856 instances.  No node deeper than
+    # 3 is expanded: the answers above come from the memo or the bound
+    goal = seq("A par A |- A * A")
     start = time.perf_counter()
-    result = prove(goal, CLASSICAL)
+    result = prove(goal, CONTR_ONLY)
     assert time.perf_counter() - start < 1.0
     assert result.is_provable and result.proof.height() == 5
+    assert rules_of(result.proof)[:2] == ["contr-L", "*R"]
     stats = result.stats
-    assert (stats.nodes_expanded, stats.max_depth, stats.instances) == (40, 3, 234)
-    assert (stats.falsified, stats.cuts, stats.bounded) == (0, 108, 177)
+    assert (stats.nodes_expanded, stats.max_depth, stats.instances) == (19, 3, 103)
+    assert (stats.falsified, stats.cuts, stats.bounded) == (2, 51, 41)
 
 
 def assert_no_subproof_beats_the_bound(proof, cfg):
@@ -434,7 +435,8 @@ def test_ent_and_sec_both_rejected_under_linear():
 
 
 def test_indeterminate_idempotence_reported_as_none():
-    limits = SearchLimits(max_depth=2, max_nodes=50)
+    # the construction builds 9 and 7 sequents for the two directions
+    limits = SearchLimits(max_depth=2, max_nodes=5)
     report = decide_idempotence("@", CLASSICAL, limits)
     assert report.idempotent is None
 

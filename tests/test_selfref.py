@@ -51,7 +51,7 @@ def test_fixed_point_check_values():
 
 def test_fixed_point_check_raises_on_indeterminate():
     with pytest.raises(AnalyzerError):
-        fixed_point_check("@", CLASSICAL, SearchLimits(max_depth=2, max_nodes=40))
+        fixed_point_check("@", CLASSICAL, SearchLimits(max_depth=2, max_nodes=5))
 
 
 def test_liar_paradox_for_idempotent_connective():
