@@ -70,8 +70,9 @@ def test_reflection_then_contraction_proof_shape():
     result = prove(seq("Q(A)@Q(A) |- Q(A)"), CLASSICAL)
     assert result.is_provable
     root = result.proof
-    assert root.node.rule == "contr-R"
-    assert root.children[0].node.rule == "@-explrefl"
+    assert root.node.rule == "&R"
+    assert root.children[0].node.rule == "contr-R"
+    assert root.children[0].children[0].node.rule == "@-explrefl"
 
 
 def test_weakening_alone_discharges_extra_antecedent():
