@@ -935,10 +935,10 @@ def apply_rule(s: Sequent, name: str, f: Formula, kind: Optional[str] = None) ->
     ``kind`` puts there, the rule's own kind by default; a context-splitting
     rule takes :data:`BRANCH`'s, so each of its premises keeps the whole
     context."""
-    side = RULES[name].side
-    active, passive = (s.ante_counts, s.succ_counts) if side == LEFT else (s.succ_counts, s.ante_counts)
+    row = RULES[name]
+    active, passive = (s.ante_counts, s.succ_counts) if row.side == LEFT else (s.succ_counts, s.ante_counts)
     rest = _minus(active, [g for g, _ in active].index(f))
-    premises = tuple(_orient(side, _plus(rest, new(f)), passive) for new in _REPLACEMENTS[kind or RULES[name].kind])
+    premises = tuple(_orient(row.side, _plus(rest, new(f)), passive) for new in _REPLACEMENTS[kind or row.kind])
     return RuleInstance(name, s, premises, f)
 
 
