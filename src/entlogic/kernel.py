@@ -929,16 +929,15 @@ def rule_instances(
                 yield RuleInstance(name, s, premises, f)
 
 
-def apply_rule(s: Sequent, name: str, f: Formula, kind: Optional[str] = None) -> RuleInstance:
-    """The instance of rule ``name`` on ``s`` with principal ``f``, a formula
-    on the rule's side.  Each premise holds in place of ``f`` what a rule of
-    ``kind`` puts there, the rule's own kind by default; a context-splitting
-    rule takes :data:`BRANCH`'s, so each of its premises keeps the whole
-    context."""
+def apply_rule(s: Sequent, name: str, f: Formula) -> RuleInstance:
+    """The instance of rule ``name``, not the axiom, on ``s`` with principal
+    ``f``, a formula on the rule's side.  A context-splitting rule gives
+    each premise the whole context, as a :data:`BRANCH` rule does."""
     row = RULES[name]
     active, passive = (s.ante_counts, s.succ_counts) if row.side == LEFT else (s.succ_counts, s.ante_counts)
     rest = _minus(active, [g for g, _ in active].index(f))
-    premises = tuple(_orient(row.side, _plus(rest, new(f)), passive) for new in _REPLACEMENTS[kind or row.kind])
+    replacements = _REPLACEMENTS.get(row.kind, _REPLACEMENTS[BRANCH])
+    premises = tuple(_orient(row.side, _plus(rest, new(f)), passive) for new in replacements)
     return RuleInstance(name, s, premises, f)
 
 

@@ -439,7 +439,7 @@ class _Construction:
         """Contract each context occurrence once, then split, giving each
         premise a full copy of the context."""
         chain, doubled = self._each(CONTRACT, seq, ((side, f),))
-        return (*chain, apply_rule(seq, name, f, BRANCH)._replace(conclusion=doubled))
+        return (*chain, apply_rule(seq, name, f)._replace(conclusion=doubled))
 
     def stats(self) -> SearchStats:
         return SearchStats(self.nodes, self.height, self.instances, falsified=self.falsified)
@@ -461,7 +461,8 @@ def prove(s: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits] = None) -
     checker.  NotProvable is only ever reported from a fully exhausted search,
     where a sequent a finite model falsifies counts as swept, or, with
     contraction on, from a finite countermodel of the goal
-    (``countermodel``), never from a limit hit.
+    (``countermodel``, or a failed leaf of the classical construction),
+    never from a limit hit.
     """
     limits = limits or SearchLimits()
     if not cfg.allow_ent and s.contains_conn(Conn.ENT, Conn.SEC):
