@@ -750,7 +750,7 @@ class Evaluator:
     the layout loses none of its countermodels, and a term's planes are
     computed once per goal.  With no model that fits, none is falsified."""
 
-    __slots__ = ("model", "pairs", "left", "ones", "planes", "empty", "extremes")
+    __slots__ = ("model", "pairs", "left", "ones", "planes", "empty", "extremes", "halves")
 
     def __init__(self, goal: Sequent, cfg: LogicConfig):
         self.left = _mask(goal.ante_counts)
@@ -761,6 +761,7 @@ class Evaluator:
             self.pairs = _PAIRS[self.model.name]
             self.ones, digits, self.empty, self.extremes = _frame(self.model, len(shared))
             self.planes: dict[Formula, Planes] = dict(zip(shared, digits))
+            self.halves: dict[str, dict[Counts, int]] = {LEFT: {}, RIGHT: {}}
 
     def _leaf(self, lit: Formula) -> Planes:
         """A literal on one side of the goal only, at its extreme: its bit is
@@ -782,6 +783,21 @@ class Evaluator:
             for _ in range(count):
                 value = v if value is None else _combine(levels, ones, value, v)
         return empty if value is None else value
+
+    def half(self, pairs: Counts, side: str) -> int:
+        """The value of ``pairs`` on ``side``, their ``*`` on the left and
+        their ``par`` on the right, with its planes from 1 up packed into one
+        integer, plane t from bit (t - 1) * n ** k; computed once per goal.
+        A premise is false under some valuation exactly when its left half's
+        value AND-NOT its right half's value is not 0."""
+        table = self.halves[side]
+        value = table.get(pairs)
+        if value is None:
+            left = side == LEFT
+            planes = self._side(pairs, self.empty[not left], Conn.TIMES if left else Conn.PAR)
+            width = self.ones.bit_length()
+            value = table[pairs] = sum(plane << t * width for t, plane in enumerate(planes[1:]))
+        return value
 
     def _falsifying(self, s: Sequent) -> int:
         """The mask of the valuations under which the model is false on ``s``."""
@@ -850,21 +866,45 @@ def _splits(
 
 
 def _split_premises(
-    side: str, rest: Counts, passive: Counts, f: Binary, prune: Optional[Callable[[], object]]
+    side: str,
+    rest: Counts,
+    passive: Counts,
+    f: Binary,
+    prune: Optional[Callable[[], object]],
+    evaluator: Optional[Evaluator],
+    refute: bool,
 ):
     """Both premises of a context-splitting rule, for every split of the
     contexts; the antecedent split is the outer loop on either side.  With
-    ``prune``, a split with a literal-refuted premise is skipped, and
-    ``prune()`` called, before either premise is built."""
+    ``prune``, a split is skipped, and ``prune()`` called, before either
+    premise is built when a premise has no proof: with ``refute``, when it
+    is literal-refuted, and with an ``evaluator`` that has a model, when the
+    model falsifies it.  A pair that passes the relevance check meets the
+    model through its halves' values (:meth:`Evaluator.half`): a succedent
+    half's is looked up once per call, an antecedent half's once per outer
+    iteration."""
     if side == LEFT:
         ante_splits, succ_splits = _splits(rest, LEFT, f.left, f.right), _splits(passive, RIGHT)
     else:
         ante_splits, succ_splits = _splits(passive, LEFT), _splits(rest, RIGHT, f.left, f.right)
+    refute = refute and prune is not None
+    model = prune is not None and evaluator is not None and evaluator.model is not None
+    succ_values: list = [None] * len(succ_splits)  # the complements of each split's values
     for a1, a2 in ante_splits:
-        for s1, s2 in succ_splits:
-            if prune is not None and (_refuted(a1, s1) or _refuted(a2, s2)):
+        ante_values = None
+        for j, (s1, s2) in enumerate(succ_splits):
+            if refute and (_refuted(a1, s1) or _refuted(a2, s2)):
                 prune()
                 continue
+            if model:
+                if ante_values is None:
+                    ante_values = evaluator.half(a1[0], LEFT), evaluator.half(a2[0], LEFT)
+                succ = succ_values[j]
+                if succ is None:
+                    succ = succ_values[j] = ~evaluator.half(s1[0], RIGHT), ~evaluator.half(s2[0], RIGHT)
+                if ante_values[0] & succ[0] or ante_values[1] & succ[1]:
+                    prune()
+                    continue
             yield _sequent(a1[0], s1[0]), _sequent(a2[0], s2[0])
 
 
@@ -897,6 +937,8 @@ def rule_instances(
     cfg: LogicConfig,
     prune: Optional[Callable[[], object]] = None,
     plan: Optional[tuple[_Step, ...]] = None,
+    evaluator: Optional[Evaluator] = None,
+    refute: bool = True,
 ) -> Iterator[RuleInstance]:
     """Every backward-applicable instance with conclusion ``s``, lazily.
 
@@ -905,9 +947,10 @@ def rule_instances(
     Principal choices and, for the context-splitting rules, all multiset
     partitions of the side contexts are generated in a fixed order, so a
     caller that stops early never builds the instances after that point.
-    With ``prune``, the splits with a :func:`literal_refuted` premise are
-    left out, ``prune()`` is called once for each, and the rest keep their
-    order.
+    With ``prune``, the splits with a premise that has no proof are left
+    out, ``prune()`` is called once for each, and the rest keep their order:
+    with ``refute``, those with a :func:`literal_refuted` premise, and with
+    an ``evaluator``, those with a premise its model falsifies.
     """
     index = None  # side -> the positions of its formulas by connective
     for name, kind, side, conn, replacements in plan or _plan(cfg):
@@ -922,7 +965,7 @@ def rule_instances(
             f = active[i][0]
             rest = _minus(active, i)
             if kind == SPLIT:
-                splits = _split_premises(side, rest, passive, f, prune)
+                splits = _split_premises(side, rest, passive, f, prune, evaluator, refute)
                 yield from (RuleInstance(name, s, premises, f) for premises in splits)
             else:
                 premises = tuple(_orient(side, _plus(rest, new(f)), passive) for new in replacements)

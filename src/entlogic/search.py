@@ -15,7 +15,9 @@ space, so its failure is a definitive NotProvable.  A sequent false in a
 finite model that validates every enabled rule has no proof, so each node
 is evaluated in one such model, the strongest that fits the goal
 (``kernel.Evaluator``, built once per goal at the first node it is needed),
-and one that the model falsifies fails outright.  With contraction
+and one that the model falsifies fails outright; a context split with a
+premise the model falsifies is skipped before its premises are built, so
+such a premise is never a node.  With contraction
 disabled every rule's premises are strictly smaller than its conclusion,
 so a single round at the depth limit suffices; a formula
 that cannot meet the other side's literals at axioms (weakening off too: a
@@ -110,10 +112,12 @@ class SearchStats(NamedTuple):
     # from a memo table, branches cut by the depth or height budget, sequents
     # refuted by their literals (a formula on one side cannot meet the other
     # side's literals at axioms; weakening and contraction off), invertible
-    # instances committed to, splits skipped for a literal-refuted premise,
-    # sequents falsified by a finite model (literal refutation first), and
-    # the sequents a height bound settled at lookup: cut when the bound is
-    # finite, failed outright when it is inf.  The rest of cuts are
+    # instances committed to, splits skipped for a literal-refuted or
+    # model-falsified premise, nodes falsified by a finite model (literal
+    # refutation first; the model is checked at nodes and at split
+    # premises, so a premise it falsifies is a node only outside a split),
+    # and the sequents a height bound settled at lookup: cut when the bound
+    # is finite, failed outright when it is inf.  The rest of cuts are
     # budget-limited failures the memo replayed.  The bound is
     # kernel.HeightBound with contraction on and 1 without, so there
     # bounded counts the cuts at the depth limit.  A classical construction
@@ -220,9 +224,9 @@ class _Search:
         # cut there is the depth limit, and an outright failure stays one
         self.bound = HeightBound(cfg) if cfg.contraction else None
         # the prunings are used in the contraction-free regimes only (CHANGES.md);
-        # where literal refutation is on, no split is built with a refuted premise
+        # no split is built with a premise the model falsifies, or, where
+        # literal refutation is on, with a refuted one
         self.refute, self.commit = not (cfg.weakening or cfg.contraction), not cfg.contraction
-        self.prune = self._count_pruned if self.refute else None
 
     def run(self, goal: Sequent) -> tuple[Optional[ProofTree], Optional[str]]:
         self.goal = goal
@@ -299,7 +303,7 @@ class _Search:
             self.fail_at[seq] = _INF
             return None
         cuts_before = self.cuts
-        for inst in rule_instances(seq, self.cfg, self.prune):
+        for inst in rule_instances(seq, self.cfg, self._count_pruned, evaluator=self.evaluator, refute=self.refute):
             self.instances += 1
             children: list[ProofTree] = []
             for premise in inst.premises:

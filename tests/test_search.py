@@ -2,6 +2,7 @@ import gc
 import random
 import time
 import weakref
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from entlogic.formulas import Binary, Conn, NegAtom, PosAtom, dual, fold, qubit_
 from entlogic.kernel import (
     RULES,
     SPLIT,
+    Evaluator,
     HeightBound,
     LogicConfig,
     Sequent,
@@ -31,6 +33,7 @@ from entlogic.search import (
 from entlogic.syntax import parse_formula, parse_sequent
 from strategies import sequents
 
+import countermodels
 import oracle
 import strategies
 from conftest import BASIC, BASIC_EXPAND, CLASSICAL, CONTR_ONLY, LINEAR, WEAK_ONLY
@@ -682,6 +685,46 @@ def test_pruned_splits_are_exactly_the_doomed_ones_on_the_family():
         _assert_pruned_stream_is_the_relevant_part(expand_sequent(s))
 
 
+@cache
+def _brute_falsified(model, premise):
+    return countermodels.refutation(model, premise) is not None
+
+
+def _assert_model_pruned_stream_is_the_rest(s, cfg):
+    # with the goal's evaluator, as the search passes it, the stream is the
+    # full one less exactly the splits with a premise that is literal-refuted
+    # (where the search refutes) or false in the evaluator's model, judged by
+    # trying every valuation, in the same order; each skip is counted once
+    evaluator = Evaluator(s, cfg)
+    model = evaluator.model and evaluator.model.name
+    refute = not (cfg.weakening or cfg.contraction)
+    skips = []
+    kept = list(rule_instances(s, cfg, lambda: skips.append(None), evaluator=evaluator, refute=refute))
+    full = list(rule_instances(s, cfg))
+
+    def doomed(p):
+        return (refute and literal_refuted(p)) or (model is not None and _brute_falsified(model, p))
+
+    left_out = [RULES[inst.rule].kind == SPLIT and any(map(doomed, inst.premises)) for inst in full]
+    assert kept == [inst for inst, skip in zip(full, left_out) if not skip]
+    assert len(skips) == sum(left_out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequents(max_per_side=3, max_depth=2))
+def test_model_pruned_splits_are_exactly_the_falsified_ones(s):
+    for cfg in (BASIC, CONTR_ONLY):
+        _assert_model_pruned_stream_is_the_rest(s, cfg)
+
+
+def test_model_pruned_splits_are_exactly_the_falsified_ones_on_the_family():
+    goals = random.Random(11).sample(list(_enumerated_family()), 400)
+    for s in goals:
+        for cfg in (BASIC, CONTR_ONLY):
+            _assert_model_pruned_stream_is_the_rest(s, cfg)
+            _assert_model_pruned_stream_is_the_rest(expand_sequent(s), cfg)
+
+
 SPLITS_HEAVY = (
     "((~B & B) $ Q(A)) par ~B, (~B & B) $ Q(B)"
     " |- ((~A & A) $ (~B | B)) * (A | B), (B | ~B) @ (~B | B)"
@@ -690,13 +733,16 @@ SPLITS_HEAVY = (
 
 def test_dominant_splits_goal_builds_fewer_splits():
     # the costliest goal of perfbench splits: 8,471 nodes and 95,802
-    # instances when every split is built
+    # instances when every split is built, and 318 and 990 when only the
+    # literal-refuted ones are skipped; skipping the splits with a premise
+    # M4 falsifies too leaves 66 and 164
     clear_memo()
     goal = seq(SPLITS_HEAVY)
     result = prove(goal, BASIC)
     assert result.is_not_provable and result.limit_hit is None
     assert not oracle.provable(goal)
-    assert result.stats.nodes_expanded < 8_471 and result.stats.pruned > 0
+    stats = result.stats
+    assert stats.nodes_expanded <= 66 and stats.instances <= 164 and stats.pruned > 0
 
 
 @pytest.mark.parametrize(
