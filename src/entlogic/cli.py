@@ -141,6 +141,7 @@ def _cmd_prove(args) -> int:
             "limit_hit": result.limit_hit,
             "proof": proof_to_dict(result.proof) if result.proof else None,
             "nodes_expanded": result.stats.nodes_expanded,
+            "stats": result.stats._asdict(),
         }
         if result.countermodel is not None:
             model, valuation = result.countermodel

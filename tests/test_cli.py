@@ -10,7 +10,7 @@ import pytest
 import entlogic
 from entlogic.cli import main
 from entlogic.kernel import LogicConfig, check_proof
-from entlogic.search import clear_memo
+from entlogic.search import SearchStats, clear_memo
 from entlogic.syntax import parse_sequent, proof_from_dict, proof_from_json
 
 import countermodels
@@ -142,10 +142,25 @@ def test_json_countermodel_is_a_certificate(capsys, text, at_mode):
 
 
 def test_json_without_a_countermodel_keeps_its_keys(capsys):
-    keys = {"command", "input", "searched", "logic", "at_mode", "verdict", "limit_hit", "proof", "nodes_expanded"}
+    keys = {"command", "input", "searched", "logic", "at_mode", "verdict", "limit_hit", "proof", "nodes_expanded", "stats"}
     for argv in (("Q(A) |- Q(A)@Q(A)",), ("Q(A) |- Q(A)@Q(A)", "--logic", "classical")):
         _, out, _ = run(capsys, "prove", *argv, "--format", "json")
         assert set(json.loads(out)) == keys
+
+
+def test_json_carries_every_search_counter():
+    # a fresh interpreter, so that no earlier call has filled the shared
+    # memo and the counters are the same on every run; pruned counts the
+    # splits skipped, each for a literal-refuted premise, before a proof
+    proc = python("-m", "entlogic", "prove", "A par B, C |- A * C, B", "--logic", "basic", "--format", "json")
+    payload = json.loads(proc.stdout)
+    assert (proc.returncode, payload["verdict"]) == (0, "provable")
+    assert list(payload["stats"]) == sorted(SearchStats._fields)
+    assert payload["stats"] == {
+        "nodes_expanded": 5, "max_depth": 3, "instances": 5, "memo_hits": 0, "cuts": 0,
+        "refuted": 0, "committed": 0, "pruned": 5, "falsified": 0, "bounded": 0,
+    }
+    assert payload["stats"]["nodes_expanded"] == payload["nodes_expanded"]
 
 
 def test_prove_parse_error_exits_64(capsys):
