@@ -750,7 +750,7 @@ class Evaluator:
     the layout loses none of its countermodels, and a term's planes are
     computed once per goal.  With no model that fits, none is falsified."""
 
-    __slots__ = ("model", "pairs", "left", "ones", "planes", "empty", "extremes", "halves")
+    __slots__ = ("model", "pairs", "left", "ones", "planes", "empty", "extremes", "width", "halves")
 
     def __init__(self, goal: Sequent, cfg: LogicConfig):
         self.left = _mask(goal.ante_counts)
@@ -761,6 +761,7 @@ class Evaluator:
             self.pairs = _PAIRS[self.model.name]
             self.ones, digits, self.empty, self.extremes = _frame(self.model, len(shared))
             self.planes: dict[Formula, Planes] = dict(zip(shared, digits))
+            self.width = self.ones.bit_length()
             self.halves: dict[str, dict[Counts, int]] = {LEFT: {}, RIGHT: {}}
 
     def _leaf(self, lit: Formula) -> Planes:
@@ -788,26 +789,28 @@ class Evaluator:
         """The value of ``pairs`` on ``side``, their ``*`` on the left and
         their ``par`` on the right, with its planes from 1 up packed into one
         integer, plane t from bit (t - 1) * n ** k; computed once per goal.
-        A premise is false under some valuation exactly when its left half's
-        value AND-NOT its right half's value is not 0."""
+        A sequent is false under some valuation exactly when its left half's
+        value AND-NOT its right half's value is not 0; nodes and the premises
+        of splits are tested this way, from one table."""
         table = self.halves[side]
         value = table.get(pairs)
         if value is None:
-            left = side == LEFT
-            planes = self._side(pairs, self.empty[not left], Conn.TIMES if left else Conn.PAR)
-            width = self.ones.bit_length()
-            value = table[pairs] = sum(plane << t * width for t, plane in enumerate(planes[1:]))
+            left, width, value = side == LEFT, self.width, 0
+            for plane in self._side(pairs, self.empty[not left], Conn.TIMES if left else Conn.PAR)[:0:-1]:
+                value = value << width | plane
+            table[pairs] = value
         return value
 
     def _falsifying(self, s: Sequent) -> int:
-        """The mask of the valuations under which the model is false on ``s``."""
+        """The mask of the valuations under which the model is false on ``s``:
+        the OR of the planes of its halves' AND-NOT."""
         if self.model is None:
             return 0
-        ante = self._side(s.ante_counts, self.empty[0], Conn.TIMES)
-        succ = self._side(s.succ_counts, self.empty[1], Conn.PAR)
-        mask = 0
-        for a, b in zip(ante, succ):
-            mask |= a & ~b
+        packed = self.half(s.ante_counts, LEFT) & ~self.half(s.succ_counts, RIGHT)
+        mask, ones, width = 0, self.ones, self.width
+        while packed:
+            mask |= packed & ones
+            packed >>= width
         return mask
 
     def falsifies(self, s: Sequent) -> bool:
@@ -887,9 +890,8 @@ def _split_premises(
         ante_splits, succ_splits = _splits(rest, LEFT, f.left, f.right), _splits(passive, RIGHT)
     else:
         ante_splits, succ_splits = _splits(passive, LEFT), _splits(rest, RIGHT, f.left, f.right)
-    refute = refute and prune is not None
     model = prune is not None and evaluator is not None and evaluator.model is not None
-    succ_values: list = [None] * len(succ_splits)  # the complements of each split's values
+    succ_values = [None] * len(succ_splits) if model else None  # the complements of each split's values
     for a1, a2 in ante_splits:
         ante_values = None
         for j, (s1, s2) in enumerate(succ_splits):
@@ -938,7 +940,6 @@ def rule_instances(
     prune: Optional[Callable[[], object]] = None,
     plan: Optional[tuple[_Step, ...]] = None,
     evaluator: Optional[Evaluator] = None,
-    refute: bool = True,
 ) -> Iterator[RuleInstance]:
     """Every backward-applicable instance with conclusion ``s``, lazily.
 
@@ -949,9 +950,11 @@ def rule_instances(
     caller that stops early never builds the instances after that point.
     With ``prune``, the splits with a premise that has no proof are left
     out, ``prune()`` is called once for each, and the rest keep their order:
-    with ``refute``, those with a :func:`literal_refuted` premise, and with
-    an ``evaluator``, those with a premise its model falsifies.
+    with weakening and contraction off, those with a :func:`literal_refuted`
+    premise, and with an ``evaluator``, those with a premise its model
+    falsifies.
     """
+    refute = prune is not None and not (cfg.weakening or cfg.contraction)
     index = None  # side -> the positions of its formulas by connective
     for name, kind, side, conn, replacements in plan or _plan(cfg):
         if kind == AXIOM:

@@ -303,7 +303,7 @@ class _Search:
             self.fail_at[seq] = _INF
             return None
         cuts_before = self.cuts
-        for inst in rule_instances(seq, self.cfg, self._count_pruned, evaluator=self.evaluator, refute=self.refute):
+        for inst in rule_instances(seq, self.cfg, self._count_pruned, evaluator=self.evaluator):
             self.instances += 1
             children: list[ProofTree] = []
             for premise in inst.premises:
