@@ -161,9 +161,11 @@ class _Term(Frozen):
     """What the interned formula classes share: immutable fields, the
     dataclass-style ``repr``, and pickling and copying through the
     constructors, none of which recurses.  Equality and hashing stay
-    ``object``'s (identity)."""
+    ``object``'s (identity).  ``text`` is unset until
+    :func:`~entlogic.syntax.print_formula` first prints the term and keeps
+    its canonical text there; a pickle does not store it."""
 
-    __slots__ = ("sort_key", "relevance", "__weakref__")
+    __slots__ = ("sort_key", "relevance", "text", "__weakref__")
 
     def __reduce__(self):
         # the distinct subterms in post-order, operands named by their row

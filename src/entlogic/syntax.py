@@ -13,9 +13,11 @@ Every compound operand must be parenthesized (one operator per level), so a
 chain like ``A & B & C`` is rejected instead of silently associating.
 ``Q(A)`` is sugar for ``A & ~A``; ``~`` on a compound computes the dual.
 
-The tokenizer is one regex scan into ``(kind, text, start, end)`` tuples, and
-the parser carries each finished term as ``(formula, start, end)``; a
-:class:`SourceSpan` is built only for a :class:`ParseError`.
+The tokenizer is one ``findall`` into plain token strings, and a token's kind
+is read from its text.  The parser carries token indices; the tokens' offsets
+are worked out again only for a :class:`ParseError`, so a text that parses
+builds no :class:`SourceSpan`.  :func:`print_formula` caches the text it
+returns on the term it printed.
 """
 
 from __future__ import annotations
@@ -67,160 +69,147 @@ class ParseError(Exception):
         super().__init__(f"{message} at offset {span.start}{detail}")
 
 
-# One match per token: the whitespace before it, then one alternation tried
-# left to right, so "|-" wins over "|" and BAD takes any other character.
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-    (?P<TURNSTILE>\|-) | (?P<AMP>&) | (?P<PIPE>\|) | (?P<STAR>\*) | (?P<AT>@)
-    | (?P<DOLLAR>\$) | (?P<TILDE>~) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,)
-    | (?P<IDENT>[A-Z][A-Za-z0-9_]*) | (?P<KEYWORD>[a-z]+) | (?P<BAD>\S)
-    )""",
-    re.VERBOSE,
-)
+# One match per token: the whitespace before it, then the token, tried left
+# to right, so "|-" wins over "|" and any other character is a token alone.
+_TOKEN_RE = re.compile(r"\s*(\|-|[A-Z][A-Za-z0-9_]*|[a-z]+|\S)")
 
-_BINOP_CONN = {
-    "AMP": Conn.WITH,
-    "PIPE": Conn.PLUS,
-    "STAR": Conn.TIMES,
-    "PAR": Conn.PAR,
-    "AT": Conn.ENT,
-    "DOLLAR": Conn.SEC,
-}
+_BINOP_CONN = {c.value: c for c in Conn}
+
+# The tokens that are not atoms; "" ends the token list.
+_NOT_ATOM = frozenset(("|-", "~", "(", ")", ",", "", *_BINOP_CONN))
 
 _TERM_START = ("~", "an atom", "Q(", "(")
 
 
-def _error(at: tuple, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-    """An error located at a token or a finished term; both tuples end with
-    their start and end offsets."""
-    return ParseError(SourceSpan(at[-2], at[-1]), message, expected)
+def _error(text: str, first: int, last: int, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+    """An error from the start of token ``first`` of ``text`` to the end of
+    token ``last``; the index past the last token stands for the text's end."""
+    spans = [m.span(1) for m in _TOKEN_RE.finditer(text)] + [(len(text), len(text))]
+    return ParseError(SourceSpan(spans[first][0], spans[last][1]), message, expected)
 
 
-def _tokenize(text: str) -> list[tuple]:
-    """The ``(kind, text, start, end)`` tokens of ``text``, then an EOF token."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        tok = (kind, m.group(kind), m.start(kind), m.end())
-        if kind == "KEYWORD":
-            if tok[1] != "par":
-                raise _error(tok, f"unknown keyword {tok[1]!r}")
-            tok = ("PAR",) + tok[1:]
-        elif kind == "BAD":
-            raise _error(tok, f"unexpected character {tok[1]!r}")
-        tokens.append(tok)
-    tokens.append(("EOF", "", len(text), len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text``, then ``""``.  The first unknown keyword or
+    character in text order is an error, before any syntax error."""
+    tokens = _TOKEN_RE.findall(text)
+    atoms = set(tokens).difference(_NOT_ATOM)
+    # all of them start with a capital iff the least is >= "A" and the greatest < "["
+    if atoms and not "A" <= min(atoms) <= max(atoms) < "[":
+        i = next(i for i, tok in enumerate(tokens) if tok not in _NOT_ATOM and not "A" <= tok < "[")
+        tok = tokens[i]
+        what = "unknown keyword" if "a" <= tok[0] <= "z" else "unexpected character"
+        raise _error(text, i, i, f"{what} {tok!r}")
+    tokens.append("")
     return tokens
 
 
-def _expect(tok: tuple, kind: str, what: str) -> None:
-    if tok[0] != kind:
-        raise _error(tok, f"expected {what}", (what,))
+def _expect(text: str, i: int, ok: bool, what: str) -> None:
+    if not ok:
+        raise _error(text, i, i, f"expected {what}", (what,))
 
 
-def _formula(tokens: list, i: int) -> tuple[tuple, int]:
-    """The formula that starts at token ``i`` as ``(formula, start, end)``,
-    and the index of the token after it.
+def _formula(text: str, tokens: list, i: int) -> tuple[Formula, int]:
+    """The formula that starts at token ``i``, and the index of the token
+    after it.
 
     An explicit stack of open formulas, so nesting depth costs heap, not
-    Python stack.  A frame is [the offset of its "(", that of the "~" before
-    it or None, its left operand, its operator token]; the outermost frame has
-    no "(".
+    Python stack.  A frame is [the index of its "(" or of the "~" before it,
+    whether a "~" is there, its left operand, the index where that operand
+    starts, the index of its operator]; the outermost frame has no "(".
     """
-    stack: list[list] = [[None, None, None, None]]
+    stack: list[list] = [[0, False, None, 0, 0]]
     while True:
-        tilde = None
-        if tokens[i][0] == "TILDE":
-            tilde = tokens[i][2]
-            i += 1
+        start = i  # of the term read next, "~" included
+        tilde = tokens[i] == "~"
+        i += tilde
         tok = tokens[i]
-        if tok[0] == "LPAREN":
-            stack.append([tok[2], tilde, None, None])
+        if tok == "(":
+            stack.append([start, tilde, None, 0, 0])
             i += 1
             continue
-        if tok[0] != "IDENT":
-            raise _error(tok, "expected a formula term", _TERM_START)
-        if tok[1] == "Q" and tokens[i + 1][0] == "LPAREN":
-            _expect(tokens[i + 2], "IDENT", "an atom")
-            _expect(tokens[i + 3], "RPAREN", ")")
-            value = (qubit_of(tokens[i + 2][1]), tok[2], tokens[i + 3][3])
+        if tok in _NOT_ATOM:
+            raise _error(text, i, i, "expected a formula term", _TERM_START)
+        if tok == "Q" and tokens[i + 1] == "(":
+            _expect(text, i + 2, tokens[i + 2] not in _NOT_ATOM, "an atom")
+            _expect(text, i + 3, tokens[i + 3] == ")", ")")
+            value = qubit_of(tokens[i + 2])
+            value = dual(value) if tilde else value
             i += 4
         else:
-            value = (PosAtom(tok[1]), tok[2], tok[3])
+            value = NegAtom(tok) if tilde else PosAtom(tok)
             i += 1
-        if tilde is not None:
-            value = (dual(value[0]), tilde, value[2])
         # feed the finished term to the open formulas, closing each one it
         # completes
         while True:
-            lparen, tilde, left, op = stack[-1]
-            if left is None and tokens[i][0] in _BINOP_CONN:
-                stack[-1][2:] = value, tokens[i]
+            frame = stack[-1]
+            if frame[2] is None and tokens[i] in _BINOP_CONN:
+                frame[2:] = value, start, i
                 i += 1
                 break  # the right operand comes next
-            if left is not None:
-                value = _binary(left, op, value, tokens[i])
+            if frame[2] is not None:
+                value = _binary(text, tokens, frame, value, start, i)
             stack.pop()
             if not stack:
                 return value, i
-            _expect(tokens[i], "RPAREN", ")")
-            end = tokens[i][3]
+            _expect(text, i, tokens[i] == ")", ")")
             i += 1
-            value = (value[0], lparen, end) if tilde is None else (dual(value[0]), tilde, end)
+            start = frame[0]
+            value = dual(value) if frame[1] else value
 
 
-def _binary(left: tuple, op: tuple, right: tuple, nxt: tuple) -> tuple:
-    conn = _BINOP_CONN[op[0]]
+def _binary(text: str, tokens: list, frame: list, right: Formula, start: int, i: int) -> Binary:
+    """The node of ``frame``'s left operand and operator with ``right``, the
+    term from token ``start`` to the token before ``i``."""
+    left, left_start, op = frame[2:]
+    conn = _BINOP_CONN[tokens[op]]
     if conn in (Conn.ENT, Conn.SEC):
-        for operand in (left, right):
-            if not is_qubit_shaped(operand[0]):
-                raise _error(
-                    operand,
-                    f"operand of {op[1]!r} must be qubit-shaped "
-                    "(an atom with its own negation, e.g. Q(A))",
-                )
-    if nxt[0] in _BINOP_CONN:
-        raise _error(nxt, "chained operators need explicit parentheses", ("(", ")"))
-    return Binary(conn, left[0], right[0]), left[1], right[2]
+        for operand, first, last in ((left, left_start, op - 1), (right, start, i - 1)):
+            if not is_qubit_shaped(operand):
+                shape = "qubit-shaped (an atom with its own negation, e.g. Q(A))"
+                raise _error(text, first, last, f"operand of {tokens[op]!r} must be {shape}")
+    if tokens[i] in _BINOP_CONN:
+        raise _error(text, i, i, "chained operators need explicit parentheses", ("(", ")"))
+    return Binary(conn, left, right)
 
 
-def _formula_list(tokens: list, i: int, stop_kind: str) -> tuple[list[Formula], int]:
+def _formula_list(text: str, tokens: list, i: int, stop: str) -> tuple[list[Formula], int]:
     items: list[Formula] = []
-    if tokens[i][0] == stop_kind:
+    if tokens[i] == stop:
         return items, i
     while True:
-        value, i = _formula(tokens, i)
-        items.append(value[0])
-        if tokens[i][0] != "COMMA":
+        value, i = _formula(text, tokens, i)
+        items.append(value)
+        if tokens[i] != ",":
             return items, i
         i += 1
 
 
-def _expect_end(tok: tuple, what: str) -> None:
-    if tok[0] != "EOF":
-        raise _error(tok, f"unexpected {tok[1]!r} after {what}")
+def _expect_end(text: str, tokens: list, i: int, what: str) -> None:
+    if tokens[i]:
+        raise _error(text, i, i, f"unexpected {tokens[i]!r} after {what}")
 
 
 def parse_formula(text: str) -> Formula:
     """Parse a single formula; raises :class:`ParseError` on bad input."""
     tokens = _tokenize(text)
-    value, i = _formula(tokens, 0)
-    _expect_end(tokens[i], "formula")
-    return value[0]
+    value, i = _formula(text, tokens, 0)
+    _expect_end(text, tokens, i, "formula")
+    return value
 
 
 def parse_sequent(text: str) -> "kernel.Sequent":
     """Parse ``Gamma |- Delta`` with comma-separated, possibly empty sides."""
     tokens = _tokenize(text)
-    turnstiles = [t for t in tokens if t[0] == "TURNSTILE"]
+    turnstiles = tokens.count("|-")
     if not turnstiles:
-        raise _error(tokens[-1], "missing |-", ("|-",))
-    if len(turnstiles) > 1:
-        raise _error(turnstiles[1], "sequent must contain exactly one |-")
-    antecedent, i = _formula_list(tokens, 0, "TURNSTILE")
-    _expect(tokens[i], "TURNSTILE", "|-")
-    succedent, i = _formula_list(tokens, i + 1, "EOF")
-    _expect_end(tokens[i], "sequent")
+        raise _error(text, len(tokens) - 1, len(tokens) - 1, "missing |-", ("|-",))
+    if turnstiles > 1:
+        i = tokens.index("|-", tokens.index("|-") + 1)
+        raise _error(text, i, i, "sequent must contain exactly one |-")
+    antecedent, i = _formula_list(text, tokens, 0, "|-")
+    _expect(text, i, tokens[i] == "|-", "|-")
+    succedent, i = _formula_list(text, tokens, i + 1, "")
+    _expect_end(text, tokens, i, "sequent")
     return kernel.Sequent.of(antecedent, succedent)
 
 
@@ -272,13 +261,21 @@ _TEXT = ("~{}", "Q({})", {c: f" {c.value} " for c in Conn}, "(", ")")
 
 
 def print_formula(f: Formula) -> str:
-    """Canonical text; ``parse_formula(print_formula(f))`` rebuilds ``f``."""
-    return _render(f, *_TEXT)
+    """Canonical text; ``parse_formula(print_formula(f))`` rebuilds ``f``.
+
+    The text is kept on ``f`` the first time ``f`` is printed, never on its
+    subterms, so the cache holds no text that a call did not return."""
+    try:
+        return f.text
+    except AttributeError:
+        text = _render(f, *_TEXT)
+        object.__setattr__(f, "text", text)
+        return text
 
 
 def print_sequent(s: "kernel.Sequent") -> str:
-    left = ", ".join(print_formula(f) for f in s.antecedent)
-    right = ", ".join(print_formula(f) for f in s.succedent)
+    left = ", ".join(map(print_formula, s.antecedent))
+    right = ", ".join(map(print_formula, s.succedent))
     return f"{left} |- {right}".strip()
 
 

@@ -1,14 +1,20 @@
+import copy
 import json
+import pickle
+import re
+from dataclasses import FrozenInstanceError
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from entlogic.formulas import Binary, Conn, NegAtom, PosAtom, ShapeError, dual, ent, qubit_of
+from entlogic.formulas import Binary, Conn, NegAtom, PosAtom, ShapeError, dual, ent, is_literal, qubit_of
 from entlogic.kernel import LogicConfig, Sequent, check_proof
 from entlogic.search import prove
 from entlogic import syntax
 from entlogic.syntax import (
     ParseError,
+    formula_to_latex,
     parse_formula,
     parse_sequent,
     print_formula,
@@ -77,6 +83,30 @@ def test_a_text_that_parses_builds_no_source_span(monkeypatch):
         parse_formula("A &")
 
 
+def test_an_error_after_leading_whitespace_spans_its_token():
+    with pytest.raises(ParseError) as err:
+        parse_formula("   #")
+    assert (err.value.span.start, err.value.span.end) == (3, 4)
+    assert err.value.message == "unexpected character '#'"
+
+
+# Whitespace the tokenizer skips: \s in a str pattern is Unicode whitespace.
+_WHITESPACE = " \t\n\r\f\v\u00a0\u2003"
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequents(), st.data())
+def test_whitespace_between_tokens_is_insignificant(s, data):
+    # the printed text's tokens, split without the module's own tokenizer
+    tokens = re.findall(r"\|-|\w+|\S", print_sequent(s))
+    runs = data.draw(st.lists(st.text(_WHITESPACE, max_size=3), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = ""
+    for prev, tok, run in zip([""] + tokens, tokens, runs):
+        # two words with nothing between them would read as one
+        text += (run or " " * bool(re.fullmatch(r"\w\w", prev[-1:] + tok[0]))) + tok
+    assert parse_sequent(text + runs[-1]) == s
+
+
 def test_parse_sequent_counts():
     s = parse_sequent("Q(A) |- Q(A), Q(A)")
     assert len(s.antecedent) == 1
@@ -131,6 +161,38 @@ def test_sequent_round_trip(s):
 @given(formulas())
 def test_printing_deterministic(f):
     assert print_formula(f) == print_formula(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas())
+def test_printed_text_is_cached_on_the_printed_term_only(f):
+    uncached = syntax._render(f, *syntax._TEXT)
+    subterms = [g for g in (getattr(f, "left", None), getattr(f, "right", None)) if g is not None]
+    bare = [g for g in subterms if not hasattr(g, "text")]
+    shown, latex = repr(f), formula_to_latex(f)
+    assert print_formula(f) == uncached
+    assert f.text == uncached and print_formula(f) is f.text
+    assert str(f) == uncached
+    assert not any(hasattr(g, "text") for g in bare)
+    assert repr(f) == shown and formula_to_latex(f) == latex
+    with pytest.raises(FrozenInstanceError):
+        f.text = "x"
+    with pytest.raises(FrozenInstanceError):
+        del f.text
+    for roundtrip in (copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))):
+        assert roundtrip(f) is f
+    assert print_formula(f) == uncached
+
+
+def test_printing_a_deep_chain_caches_no_subterm_text():
+    # a cache on every subterm of a 5,000-deep chain would hold about 75 MB
+    f = A
+    for _ in range(5000):
+        f = Binary(Conn.WITH, f, NB)
+    text = print_formula(f)
+    assert not hasattr(f.left, "text")
+    assert print_formula(f) is text
+    assert len(text) == len(syntax._render(f, *syntax._TEXT))
 
 
 def _axiom_tree():
