@@ -18,6 +18,7 @@ from typing import Optional
 from .formulas import Conn
 from .kernel import AT_EXPAND, AT_PRIMITIVE, PRESETS, LogicConfig
 from .search import (
+    DEFAULT_LIMITS,
     NOT_PROVABLE,
     PROVABLE,
     UNKNOWN,
@@ -325,8 +326,8 @@ def _cmd_separable(args) -> int:
 _SEARCH_OPTIONS = {
     "--logic": dict(choices=PRESETS, default="basic"),
     "--at-mode": dict(choices=(AT_PRIMITIVE, AT_EXPAND), default=AT_EXPAND),
-    "--max-depth": dict(type=int, default=SearchLimits().max_depth),
-    "--max-nodes": dict(type=int, default=SearchLimits().max_nodes),
+    "--max-depth": dict(type=int, default=DEFAULT_LIMITS.max_depth),
+    "--max-nodes": dict(type=int, default=DEFAULT_LIMITS.max_nodes),
 }
 _ALL_FORMATS = ("text", "latex", "json")
 

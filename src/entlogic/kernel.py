@@ -685,29 +685,17 @@ def _combine(levels: tuple, ones: int, x: Planes, y: Planes) -> Planes:
     return tuple(out)
 
 
-def _mask(pairs: Counts) -> int:
-    """The relevance bits of every literal of ``pairs``."""
-    mask = 0
-    for f, _ in pairs:
-        mask |= f.relevance[0]
-    return mask
-
-
-def _literals(s: Sequent, mask: int) -> list[Formula]:
-    """The literals of ``s`` whose relevance bits are in ``mask``, each once,
-    in canonical order."""
-    found, seen = [], set()
-    stack = [f for f, _ in s.ante_counts + s.succ_counts]
+def _literals(pairs: Counts) -> frozenset[Formula]:
+    """The literals of ``pairs``, each distinct subterm visited once."""
+    seen: set[Formula] = set()
+    stack = [f for f, _ in pairs]
     while stack:
         g = stack.pop()
-        if g in seen or not g.relevance[0] & mask:
-            continue
-        seen.add(g)
-        if isinstance(g, Binary):
-            stack += (g.left, g.right)
-        else:
-            found.append(g)
-    return sorted(found, key=sort_key)
+        if g not in seen:
+            seen.add(g)
+            if isinstance(g, Binary):
+                stack += (g.left, g.right)
+    return frozenset(g for g in seen if not isinstance(g, Binary))
 
 
 # (model name, k) -> for k literals that run through their values: all
@@ -738,65 +726,69 @@ def _frame(model: Model, k: int) -> tuple:
 
 
 class Evaluator:
-    """The last model of :func:`models` that fits one goal, evaluated on the
-    goal and the sequents of its search under one layout of valuations.
+    """One model evaluated under one layout: the k literals ``shared``, in
+    canonical order, run through their values, and every other literal
+    takes its side's extreme, the top on the left and the bottom on the
+    right.
 
-    Every operation is monotone, so a literal on one side of the goal only
-    takes the top on the left and the bottom on the right, and only the k
-    literals on both sides run through their values: the model fits when
-    n ** k is at most :data:`VALUATIONS`.  No rule moves a formula across
-    the turnstile, and premises hold only subformulas on the same side, so
-    every sequent of the search has the goal's literals on the same sides:
-    the layout loses none of its countermodels, and a term's planes are
-    computed once per goal.  With no model that fits, none is falsified."""
+    Every operation is monotone, so a literal on one side of a goal need
+    only take that extreme, and only the literals on both sides run through
+    their values: a model fits when n ** k is at most :data:`VALUATIONS`.
+    No rule moves a formula across the turnstile, and premises hold only
+    subformulas on the same side, so every sequent of a goal's search has
+    the goal's literals on the same sides: the goal's layout loses none of
+    its countermodels.  A term's planes on a side, and a half's value
+    (:meth:`half`), depend only on the layout, so one evaluator serves every
+    goal with that layout (:class:`Layouts`).  With no model, none is
+    falsified."""
 
-    __slots__ = ("model", "pairs", "left", "ones", "planes", "empty", "extremes", "width", "halves")
+    __slots__ = ("model", "pairs", "ones", "width", "empty", "extremes", "planes", "halves")
 
-    def __init__(self, goal: Sequent, cfg: LogicConfig):
-        self.left = _mask(goal.ante_counts)
-        shared = _literals(goal, self.left & _mask(goal.succ_counts))
-        fits = [m for m in models(cfg) if len(m.elements) ** len(shared) <= VALUATIONS]
-        self.model = fits[-1] if fits else None
-        if self.model is not None:
-            self.pairs = _PAIRS[self.model.name]
-            self.ones, digits, self.empty, self.extremes = _frame(self.model, len(shared))
-            self.planes: dict[Formula, Planes] = dict(zip(shared, digits))
+    def __init__(self, model: Optional[Model], shared: list[Formula]):
+        self.model = model
+        if model is not None:
+            self.pairs = _PAIRS[model.name]
+            self.ones, digits, self.empty, self.extremes = _frame(model, len(shared))
             self.width = self.ones.bit_length()
+            # side -> term -> its planes there; side -> half -> its packed value
+            self.planes: dict[str, dict[Formula, Planes]] = {
+                side: dict(zip(shared, digits)) for side in (LEFT, RIGHT)
+            }
             self.halves: dict[str, dict[Counts, int]] = {LEFT: {}, RIGHT: {}}
-
-    def _leaf(self, lit: Formula) -> Planes:
-        """A literal on one side of the goal only, at its extreme: its bit is
-        in one side's relevance mask."""
-        return self.extremes[bool(lit.relevance[0] & self.left)]
 
     def _node(self, g: Binary, x: Planes, y: Planes) -> Planes:
         return _combine(self.pairs[g.conn], self.ones, x, y)
 
-    def value(self, f: Formula) -> Planes:
-        planes = self.planes
+    def value(self, f: Formula, side: str) -> Planes:
+        """The planes of ``f`` on ``side``."""
+        planes = self.planes[side]
         found = planes.get(f)
-        return found if found is not None else fold(f, self._leaf, self._node, planes)
+        if found is None:
+            extreme = self.extremes[side == LEFT]  # a literal not in the table is one-sided
+            found = fold(f, lambda _: extreme, self._node, planes)
+        return found
 
-    def _side(self, pairs: Counts, empty: Planes, conn: Conn) -> Planes:
-        levels, ones, value = self.pairs[conn], self.ones, None
+    def _side(self, pairs: Counts, side: str) -> Planes:
+        left = side == LEFT
+        levels, ones, value = self.pairs[Conn.TIMES if left else Conn.PAR], self.ones, None
         for f, count in pairs:
-            v = self.value(f)
+            v = self.value(f, side)
             for _ in range(count):
                 value = v if value is None else _combine(levels, ones, value, v)
-        return empty if value is None else value
+        return self.empty[not left] if value is None else value
 
     def half(self, pairs: Counts, side: str) -> int:
         """The value of ``pairs`` on ``side``, their ``*`` on the left and
         their ``par`` on the right, with its planes from 1 up packed into one
-        integer, plane t from bit (t - 1) * n ** k; computed once per goal.
+        integer, plane t from bit (t - 1) * n ** k; computed once per layout.
         A sequent is false under some valuation exactly when its left half's
         value AND-NOT its right half's value is not 0; nodes and the premises
         of splits are tested this way, from one table."""
         table = self.halves[side]
         value = table.get(pairs)
         if value is None:
-            left, width, value = side == LEFT, self.width, 0
-            for plane in self._side(pairs, self.empty[not left], Conn.TIMES if left else Conn.PAR)[:0:-1]:
+            width, value = self.width, 0
+            for plane in self._side(pairs, side)[:0:-1]:
                 value = value << width | plane
             table[pairs] = value
         return value
@@ -817,31 +809,75 @@ class Evaluator:
         """The model is false on ``s`` under some valuation."""
         return self._falsifying(s) != 0
 
+
+# (configuration, k) -> the last model of its models whose valuations of k
+# literals fit, or None
+_FITS: dict[tuple[LogicConfig, int], Optional[Model]] = {}
+
+
+def _fit(cfg: LogicConfig, k: int) -> Optional[Model]:
+    if (cfg, k) not in _FITS:
+        fits = [m for m in models(cfg) if len(m.elements) ** k <= VALUATIONS]
+        _FITS[cfg, k] = fits[-1] if fits else None
+    return _FITS[cfg, k]
+
+
+class Layouts:
+    """The :class:`Evaluator` of every layout met under one configuration,
+    keyed by the layout's shared literals, and the literals of every goal
+    side met.  The tables hold values only, so they live as long as the
+    search memo they serve."""
+
+    __slots__ = ("cfg", "literals", "evaluators")
+
+    def __init__(self, cfg: LogicConfig):
+        self.cfg = cfg
+        self.literals: dict[Counts, frozenset[Formula]] = {}
+        self.evaluators: dict[frozenset[Formula], Evaluator] = {}
+
+    def _literals(self, pairs: Counts) -> frozenset[Formula]:
+        found = self.literals.get(pairs)
+        if found is None:
+            found = self.literals[pairs] = _literals(pairs)
+        return found
+
+    def evaluator(self, goal: Sequent) -> Evaluator:
+        """The evaluator of ``goal``'s layout, for the goal and its search."""
+        shared = self._literals(goal.ante_counts) & self._literals(goal.succ_counts)
+        found = self.evaluators.get(shared)
+        if found is None:
+            model = _fit(self.cfg, len(shared))
+            found = self.evaluators[shared] = Evaluator(model, sorted(shared, key=sort_key))
+        return found
+
     def countermodel(self, s: Sequent) -> Optional[Countermodel]:
-        """The model and the lowest valuation under which it is false on
-        ``s``, read off the planes of each literal of ``s``."""
-        mask = self._falsifying(s)
+        """The model of ``s``'s layout and the lowest valuation under which
+        it is false on ``s``, read off the planes of each literal of ``s``."""
+        evaluator = self.evaluator(s)
+        mask = evaluator._falsifying(s)
         if not mask:
             return None
         i = (mask & -mask).bit_length() - 1
-        elements = self.model.elements
-        valuation = (
-            (str(lit), elements[sum(plane >> i & 1 for plane in self.value(lit)[1:])]) for lit in _literals(s, -1)
-        )
-        return self.model.name, tuple(valuation)
+        left = self._literals(s.ante_counts)
+        elements, valuation = evaluator.model.elements, []
+        for lit in sorted(left | self._literals(s.succ_counts), key=sort_key):
+            planes = evaluator.value(lit, LEFT if lit in left else RIGHT)
+            valuation.append((str(lit), elements[sum(plane >> i & 1 for plane in planes[1:])]))
+        return evaluator.model.name, tuple(valuation)
 
 
 def boolean_countermodel(s: Sequent, true: Iterable[Formula]) -> Countermodel:
     """B2 with the literals ``true`` at 1 and every other literal of ``s``
     at 0."""
     b2, true = MODELS[0], set(true)
-    return b2.name, tuple((str(lit), b2.elements[lit in true]) for lit in _literals(s, -1))
+    literals = _literals(s.ante_counts + s.succ_counts)
+    return b2.name, tuple((str(lit), b2.elements[lit in true]) for lit in sorted(literals, key=sort_key))
 
 
 def countermodel(s: Sequent, cfg: LogicConfig) -> Optional[Countermodel]:
-    """The model :class:`Evaluator` takes for ``s`` and a valuation of every
+    """The model :class:`Layouts` takes for ``s`` and a valuation of every
     literal of ``s`` under which ``s`` is false there; None when it is not."""
-    return Evaluator(s, cfg).countermodel(s)
+    return Layouts(cfg).countermodel(s)
 
 
 # ---------------------------------------------------------------------------

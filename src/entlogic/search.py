@@ -13,9 +13,10 @@ search for a proof of height at most a budget, run over a sequence of
 budgets.  A round that cuts no branch at its budget has swept the whole
 space, so its failure is a definitive NotProvable.  A sequent false in a
 finite model that validates every enabled rule has no proof, so each node
-is evaluated in one such model, the strongest that fits the goal
-(``kernel.Evaluator``, built once per goal at the first node it is needed),
-and one that the model falsifies fails outright; a context split with a
+is evaluated in one such model, the strongest that fits the goal's layout
+(``kernel.Evaluator``: one per layout, kept with the memo and shared by
+the goals with that layout, looked up at the first node it is needed), and
+one that the model falsifies fails outright; a context split with a
 premise the model falsifies is skipped before its premises are built, so
 such a premise is never a node.  With contraction
 disabled every rule's premises are strictly smaller than its conclusion,
@@ -62,6 +63,7 @@ from .kernel import (
     Countermodel,
     Evaluator,
     HeightBound,
+    Layouts,
     LogicConfig,
     ProofTree,
     RuleInstance,
@@ -103,6 +105,9 @@ class SearchLimits(_SearchLimits):
         if self.max_depth <= 0 or self.max_nodes <= 0:
             raise ValueError("search limits must be positive")
         return self
+
+
+DEFAULT_LIMITS = SearchLimits()
 
 
 class SearchStats(NamedTuple):
@@ -168,13 +173,15 @@ def _cfg_sig(cfg: LogicConfig) -> tuple:
     return (cfg.weakening, cfg.contraction, cfg.allow_ent)
 
 
-# The memo tables: sequent -> the first proof found for it (a tree knows its
-# height); sequent -> the budget its search failed at (inf: failed outright).
-_Tables = tuple[dict[Sequent, ProofTree], dict[Sequent, float]]
+class _Tables(NamedTuple):
+    success: dict[Sequent, ProofTree]  # sequent -> the first proof found for it (a tree knows its height)
+    fail_at: dict[Sequent, float]  # sequent -> the budget its search failed at (inf: failed outright)
+    layouts: Layouts  # the finite model's evaluators by layout, which hold values only
+
 
 _OPEN = object()  # a memo lookup's answer when the sequent must be searched
 
-# Tables shared across calls, one pair per configuration.  Only searches
+# Tables shared across calls, one set per configuration.  Only searches
 # without contraction use them: those record outright failures only, which
 # hold at every budget.  A search with contraction starts from fresh tables,
 # so its budget-limited failures and node-limited verdicts do not depend on
@@ -184,6 +191,17 @@ _MEMO: dict[tuple, _Tables] = {}
 
 def clear_memo() -> None:
     _MEMO.clear()
+
+
+def _tables(cfg: LogicConfig) -> _Tables:
+    """The memo tables of a search under ``cfg``."""
+    if cfg.contraction:
+        return _Tables({}, {}, Layouts(cfg))
+    sig = _cfg_sig(cfg)
+    tables = _MEMO.get(sig)
+    if tables is None:
+        tables = _MEMO[sig] = _Tables({}, {}, Layouts(cfg))
+    return tables
 
 
 class _Search:
@@ -201,14 +219,12 @@ class _Search:
 
     countermodel: Optional[Countermodel] = None  # the search certifies nothing
 
-    def __init__(self, cfg: LogicConfig, limits: SearchLimits, evaluator: Optional[Evaluator] = None):
+    def __init__(self, cfg: LogicConfig, limits: SearchLimits, tables: _Tables):
         self.cfg = cfg
         self.limits = limits
-        self.evaluator = evaluator  # built for the goal at the first node it is needed
+        self.success, self.fail_at, self.layouts = tables
+        self.evaluator: Optional[Evaluator] = None  # the goal's, looked up at the first node it is needed
         self.goal: Optional[Sequent] = None
-        self.success, self.fail_at = (
-            ({}, {}) if cfg.contraction else _MEMO.setdefault(_cfg_sig(cfg), ({}, {}))
-        )
         self.round = 0
         self.nodes = 0
         self.deepest = 0
@@ -296,8 +312,8 @@ class _Search:
             self.refuted += 1
             self.fail_at[seq] = _INF
             return None
-        if self.evaluator is None:  # built here, so a goal the literals refute never pays for it
-            self.evaluator = Evaluator(self.goal, self.cfg)
+        if self.evaluator is None:  # looked up here, so a goal the literals refute never pays for it
+            self.evaluator = self.layouts.evaluator(self.goal)
         if self.evaluator.falsifies(seq):  # no proof at any height
             self.falsified += 1
             self.fail_at[seq] = _INF
@@ -358,8 +374,9 @@ class _Construction:
     from an explicit stack, each distinct one once.
     """
 
-    def __init__(self, cfg: LogicConfig, limits: SearchLimits, evaluator: Evaluator):
-        self.cfg, self.limits, self.evaluator = cfg, limits, evaluator
+    def __init__(self, cfg: LogicConfig, limits: SearchLimits, tables: _Tables):
+        self.cfg, self.limits, self.layouts = cfg, limits, tables.layouts
+        self.evaluator: Optional[Evaluator] = None  # the goal's, looked up by run
         plan = _plan(cfg)
         self.plan = tuple(step for step in plan if step[1] not in (CONTRACT, SPLIT))
         self.names = {(kind, side, conn): name for name, kind, side, conn, _ in plan}
@@ -371,6 +388,7 @@ class _Construction:
         self.countermodel: Optional[Countermodel] = None  # a failed leaf's valuation
 
     def run(self, goal: Sequent) -> tuple[Optional[ProofTree], None]:
+        self.evaluator = self.layouts.evaluator(goal)
         built: dict[Sequent, ProofTree] = {}
         chains: dict[Sequent, _Chain] = {}  # a sequent on the stack -> its step
         stack = [goal]
@@ -468,19 +486,18 @@ def prove(s: Sequent, cfg: LogicConfig, limits: Optional[SearchLimits] = None) -
     (``countermodel``, or a failed leaf of the classical construction),
     never from a limit hit.
     """
-    limits = limits or SearchLimits()
+    limits = limits or DEFAULT_LIMITS
     if not cfg.allow_ent and s.contains_conn(Conn.ENT, Conn.SEC):
         raise GoalRejectedError(f"configuration {cfg.describe()!r} rejects goals containing @/$")
     goal = expand_sequent(s) if cfg.at_mode == AT_EXPAND else s
-    evaluator = None
+    tables = _tables(cfg)
     if cfg.contraction:  # where the search cannot be exhaustive, a model may settle the goal
-        evaluator = Evaluator(goal, cfg)
-        found = evaluator.countermodel(goal)
+        found = tables.layouts.countermodel(goal)
         if found is not None:
             return SearchResult(NOT_PROVABLE, goal, None, None, SearchStats(0, 0), found)
 
     tree: Optional[ProofTree] = None
-    engine = (_Construction if cfg.weakening and cfg.contraction else _Search)(cfg, limits, evaluator)
+    engine = (_Construction if cfg.weakening and cfg.contraction else _Search)(cfg, limits, tables)
     try:
         tree, limit_hit = engine.run(goal)
     except _Limit as cut:

@@ -22,7 +22,7 @@ from entlogic.kernel import (
     SPLIT,
     VALUATIONS,
     WEAKEN,
-    Evaluator,
+    Layouts,
     LogicConfig,
     Sequent,
     countermodel,
@@ -179,7 +179,7 @@ def test_classical_verdicts_are_brute_force_b2(s, width):
         searched = expand_sequent(s) if cfg.at_mode == "expand" else s
         valid = countermodels.refutation("B2", searched) is None
         result = prove(_padded(s, width) if width else s, cfg)
-        assert (Evaluator(result.goal, cfg).model is None) == bool(width)
+        assert (Layouts(cfg).evaluator(result.goal).model is None) == bool(width)
         assert result.is_provable == valid and not result.is_unknown
         if result.is_not_provable:
             name, valuation = result.countermodel
@@ -206,7 +206,7 @@ def test_the_monotone_shortcut_finds_what_brute_force_finds(s):
     for cfg in (CONTR_ONLY, CLASSICAL):
         found = countermodel(s, cfg)
         picked = _picked(s, cfg)
-        model = Evaluator(s, cfg).model
+        model = Layouts(cfg).evaluator(s).model
         assert (model and model.name) == picked
         assert (found is not None) == (countermodels.refutation(picked, s) is not None)
         if found is not None:
@@ -225,7 +225,7 @@ def test_the_goal_layout_decides_every_premise_as_brute_force_does(s):
     # falsifying valuation of the premise's own literals
     brute: dict = {}
     for cfg in STRUCTURAL:
-        evaluator = Evaluator(s, cfg)
+        evaluator = Layouts(cfg).evaluator(s)
         picked = _picked(s, cfg)
         for inst in rule_instances(s, cfg):
             for premise in inst.premises:

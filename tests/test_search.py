@@ -7,13 +7,13 @@ from functools import cache
 import pytest
 from hypothesis import given, settings
 
-from entlogic import formulas
+from entlogic import formulas, search
 from entlogic.formulas import Binary, Conn, NegAtom, PosAtom, dual, fold, qubit_of
 from entlogic.kernel import (
     RULES,
     SPLIT,
-    Evaluator,
     HeightBound,
+    Layouts,
     LogicConfig,
     Sequent,
     check_proof,
@@ -30,7 +30,7 @@ from entlogic.search import (
     expand_sequent,
     prove,
 )
-from entlogic.syntax import parse_formula, parse_sequent
+from entlogic.syntax import parse_formula, parse_sequent, print_proof
 from strategies import sequents
 
 import countermodels
@@ -695,7 +695,7 @@ def _assert_model_pruned_stream_is_the_rest(s, cfg):
     # (weakening and contraction off) or false in the evaluator's model,
     # judged by trying every valuation, in the same order; each skip is
     # counted once
-    evaluator = Evaluator(s, cfg)
+    evaluator = Layouts(cfg).evaluator(s)
     model = evaluator.model and evaluator.model.name
     refute = not (cfg.weakening or cfg.contraction)
     skips = []
@@ -807,3 +807,78 @@ def test_prunings_stay_off_where_they_do_not_hold():
     result = prove(goal, CONTR_ONLY, limits)
     assert result.countermodel is None and result.is_unknown
     assert (result.stats.refuted, result.stats.committed) == (0, 0) and result.stats.nodes_expanded > 1
+
+
+# ---------------------------------------------------------------------------
+# the finite model's tables, shared by layout
+
+
+def _forget_verdicts():
+    # empty the shared memo's proofs and failures but keep its layout
+    # tables, so that only those carry over to the next call
+    for success, fail_at, _ in search._MEMO.values():
+        success.clear()
+        fail_at.clear()
+
+
+def _outcome(goal, cfg):
+    result = prove(goal, cfg)
+    proof = result.proof and print_proof(result.proof)
+    return result.verdict, result.limit_hit, result.countermodel, result.stats, proof
+
+
+def _assert_tables_ignore_call_order(goals, cfg):
+    fresh = []
+    for goal in goals:
+        clear_memo()
+        fresh.append(_outcome(goal, cfg))
+    clear_memo()
+    for goal in goals:  # every goal's layout tables now hold what the others put there
+        prove(goal, cfg)
+    for goal, expected in zip(goals, fresh):
+        _forget_verdicts()
+        assert _outcome(goal, cfg) == expected, str(goal)
+
+
+@pytest.mark.parametrize(
+    "cfg, texts",
+    [
+        # no literal on both sides: the one-sided B takes the top on the
+        # left of the first goal and the bottom on the right of the second
+        (WEAK_ONLY, ["B |- A", "A |- B"]),
+        # A on both sides; M4 falsifies the second goal at A = f only with
+        # B at the top, and literal refutation settles neither
+        (BASIC, ["A |- A | B", "A & B, A & B |- A"]),
+    ],
+)
+def test_goals_of_one_layout_share_tables_that_ignore_call_order(cfg, texts):
+    goals = [seq(t) for t in texts]
+    layouts = Layouts(cfg)
+    assert layouts.evaluator(goals[0]) is layouts.evaluator(goals[1])
+    assert cfg.weakening or not any(map(literal_refuted, goals))  # weakening turns the check off
+    _assert_tables_ignore_call_order(goals, cfg)
+
+
+@pytest.mark.parametrize("cfg", [BASIC, BASIC_EXPAND, WEAK_ONLY])
+def test_layout_tables_ignore_call_order_on_random_goals(cfg):
+    rng = random.Random(27)
+    goals = [strategies.random_sequent(rng, max_per_side=2) for _ in range(60)]
+    _assert_tables_ignore_call_order(goals, cfg)
+
+
+def test_clear_memo_empties_the_layout_tables():
+    clear_memo()
+    goal = seq("A & B, A & B |- A")
+    assert prove(goal, BASIC).stats.falsified == 1
+    (tables,) = search._MEMO.values()
+    layouts = tables.layouts
+    assert layouts.evaluators and layouts.literals
+    clear_memo()
+    assert not search._MEMO
+    for cfg in (CONTR_ONLY, CLASSICAL):  # their tables last one call
+        prove(goal, cfg)
+        prove(seq("A |- A * A"), cfg, SearchLimits(max_depth=4, max_nodes=2000))
+    assert not search._MEMO
+    prove(goal, BASIC)
+    (tables,) = search._MEMO.values()
+    assert tables.layouts is not layouts and len(tables.layouts.evaluators) == 1
