@@ -409,22 +409,18 @@ def _rebuild_proof(table: tuple) -> ProofTree:
     return built[-1]
 
 
-def fold_proof(p, node):
-    """Evaluate a proof tree bottom-up from an explicit stack: in post-order,
-    ``node(x, values, depth)`` gets each node with its subtrees' values in
-    premise order and its distance from the root."""
-    values: list = []
-    stack = [(p, 0, None)]
+def walk_proof(p: ProofTree) -> Iterator[tuple[ProofTree, int]]:
+    """Every node of ``p`` with its distance from the root, in post-order:
+    after its subtrees, which come in premise order.  A subproof shared by
+    two premises is walked under each."""
+    stack = [(p, 0, False)]
     while stack:
-        x, depth, arity = stack.pop()
-        if arity is None:  # first visit: come back once the subtrees are done
-            stack.append((x, depth, len(x.children)))
-            for c in reversed(x.children):
-                stack.append((c, depth + 1, None))
-        else:
-            start = len(values) - arity
-            values[start:] = [node(x, values[start:], depth)]
-    return values[0]
+        tree, depth, done = stack.pop()
+        if done:
+            yield tree, depth
+        else:  # come back once the subtrees are walked
+            stack.append((tree, depth, True))
+            stack += [(c, depth + 1, False) for c in reversed(tree.children)]
 
 
 def axiom_check(s: Sequent) -> bool:
@@ -505,20 +501,24 @@ def literal_refuted(s: Sequent) -> bool:
 # ---------------------------------------------------------------------------
 # proof-height lower bounds
 
-# Two lower bounds on the height of a proof (the lemma is in CHANGES.md).
-# Count: a proof of height h has at most N(h) formula occurrences, where
-# N(1) = 2 and N(h) is the largest conclusion an enabled rule kind builds
-# from premises of N(h - 1) occurrences.  Literal depth: a leaf L |- L takes
-# its two L's from one formula on each side of the root, and each step of
-# the branch between them moves at most one of the two a level closer to
-# its L; without a split, each other occurrence of the root needs a step of
-# its own on that branch as well.  Premises hold only subformulas on the
-# same side, so a split can occur above a sequent only if a split row can
-# take one of its subformulas, on its side, as principal.
+# Two lower bounds on the height of a proof with weakening off (the lemma is
+# in CHANGES.md).  Count: a proof of height h has at most N(h) formula
+# occurrences, where N(1) = 2 and only a split builds a conclusion larger
+# than its premises: N(h) = 2 N(h - 1) - 1 = 2^(h - 1) + 1 under a split,
+# and 2 without one.  Literal depth: a leaf L |- L takes its two L's from
+# one formula on each side of the root, and each step of the branch between
+# them moves at most one of the two a level closer to its L; without a
+# split, each other occurrence of the root needs a step of its own on that
+# branch as well.  Premises hold only subformulas on the same side, so a
+# split can occur above a sequent only if a split row can take one of its
+# subformulas, on its side, as principal.
 
-# rule kind -> the largest conclusion it builds from premises of p
-# occurrences each, for the kinds whose conclusion can exceed p
-_GROWTH = {SPLIT: lambda p: 2 * p - 1, WEAKEN: lambda p: p + 1}
+# a side -> the connectives a split row takes as principal there.  A search
+# that meets @ or $ has their rows: linear rejects such goals, and expand
+# mode rewrites them before the search starts
+_SPLITS = {
+    side: {r.conn for r in RULES.values() if r.kind == SPLIT and r.side == side} for side in (LEFT, RIGHT)
+}
 
 _INF = float("inf")
 
@@ -534,21 +534,16 @@ def _least(left: dict, right: dict, step: int) -> dict:
 
 
 class HeightBound:
-    """The larger of the two bounds, for the sequents of one goal under
-    ``cfg``: 1 for an axiom, at least 2 for any other sequent, and ``inf``
-    where no proof can exist.  A term's summary on a side (whether a split
-    can take one of its subformulas as principal, and the least depth of
-    each of its literals) is computed at the first sequent that holds it,
-    and a sequent's bound at its first call."""
+    """The larger of the two bounds, for the sequents of one goal searched
+    with weakening off: 1 for an axiom, at least 2 for any other sequent,
+    and ``inf`` where no proof can exist.  A term's summary on a side
+    (whether a split can take one of its subformulas as principal, and the
+    least depth of each of its literals) is computed at the first sequent
+    that holds it, and a sequent's bound at its first call."""
 
-    __slots__ = ("splits", "growth", "terms", "bounds")
+    __slots__ = ("terms", "bounds")
 
-    def __init__(self, cfg: LogicConfig):
-        rows = [RULES[name] for name in ALL_RULES if cfg.rule_enabled(name)]
-        self.splits = {
-            side: {r.conn for r in rows if r.kind == SPLIT and r.side == side} for side in (LEFT, RIGHT)
-        }
-        self.growth = {r.kind: _GROWTH[r.kind] for r in rows if r.kind in _GROWTH}
+    def __init__(self):
         self.terms: dict[str, dict] = {LEFT: {}, RIGHT: {}}  # side -> fold's value table
         self.bounds: dict[Sequent, float] = {}
 
@@ -559,7 +554,7 @@ class HeightBound:
         return bound
 
     def _summary(self, f: Formula, side: str) -> tuple[bool, dict]:
-        conns = self.splits[side]
+        conns = _SPLITS[side]
         return fold(
             f,
             lambda lit: (False, {lit: 0}),
@@ -579,18 +574,9 @@ class HeightBound:
         left, right = least
         n = sum(count for _, count in s.ante_counts + s.succ_counts)
         meet = min((d + right[lit] for lit, d in left.items() if lit in right), default=_INF)
-        return max(2, 1 + meet + (0 if split else n - 2), self._count(n, split))
-
-    def _count(self, n: int, split: bool) -> float:
-        """The least h with N(h) >= n."""
-        growth = [g for kind, g in self.growth.items() if split or kind != SPLIT]
-        height, most = 1, 2
-        while most < n:
-            larger = max((g(most) for g in growth), default=most)
-            if larger == most:
-                return _INF
-            height, most = height + 1, larger
-        return height
+        # the least h with N(h) >= n
+        count = 1 if n <= 2 else (n - 2).bit_length() + 1 if split else _INF
+        return max(2, 1 + meet + (0 if split else n - 2), count)
 
 
 # ---------------------------------------------------------------------------
@@ -810,18 +796,6 @@ class Evaluator:
         return self._falsifying(s) != 0
 
 
-# (configuration, k) -> the last model of its models whose valuations of k
-# literals fit, or None
-_FITS: dict[tuple[LogicConfig, int], Optional[Model]] = {}
-
-
-def _fit(cfg: LogicConfig, k: int) -> Optional[Model]:
-    if (cfg, k) not in _FITS:
-        fits = [m for m in models(cfg) if len(m.elements) ** k <= VALUATIONS]
-        _FITS[cfg, k] = fits[-1] if fits else None
-    return _FITS[cfg, k]
-
-
 class Layouts:
     """The :class:`Evaluator` of every layout met under one configuration,
     keyed by the layout's shared literals, and the literals of every goal
@@ -846,7 +820,8 @@ class Layouts:
         shared = self._literals(goal.ante_counts) & self._literals(goal.succ_counts)
         found = self.evaluators.get(shared)
         if found is None:
-            model = _fit(self.cfg, len(shared))
+            k = len(shared)
+            model = next((m for m in reversed(models(self.cfg)) if len(m.elements) ** k <= VALUATIONS), None)
             found = self.evaluators[shared] = Evaluator(model, sorted(shared, key=sort_key))
         return found
 

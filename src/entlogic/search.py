@@ -73,6 +73,7 @@ from .kernel import (
     check_proof,
     literal_refuted,
     rule_instances,
+    _BY_SHAPE,
     _INF,
     _plan,
 )
@@ -237,8 +238,10 @@ class _Search:
         self.falsified = 0
         self.bounded = 0
         # without contraction every proof's height bound is taken as 1, so a
-        # cut there is the depth limit, and an outright failure stays one
-        self.bound = HeightBound(cfg) if cfg.contraction else None
+        # cut there is the depth limit, and an outright failure stays one;
+        # with it weakening is off, as the bound needs: prove takes weakening
+        # and contraction together to _Construction
+        self.bound = HeightBound() if cfg.contraction else None
         # the prunings are used in the contraction-free regimes only (CHANGES.md);
         # no split is built with a premise the model falsifies, or, where
         # literal refutation is on, with a refuted one
@@ -371,7 +374,8 @@ class _Construction:
     construction fails only past B2's valuation cap, at a leaf with no
     literal on both sides: the G3c steps are invertible, so the leaf's
     falsifying valuation falsifies the goal too.  The sequents are built
-    from an explicit stack, each distinct one once.
+    from an explicit stack, each distinct one once.  Its axiom, structural
+    and pick rows are always enabled here, so ``_BY_SHAPE`` names them.
     """
 
     def __init__(self, cfg: LogicConfig, limits: SearchLimits, tables: _Tables):
@@ -379,7 +383,6 @@ class _Construction:
         self.evaluator: Optional[Evaluator] = None  # the goal's, looked up by run
         plan = _plan(cfg)
         self.plan = tuple(step for step in plan if step[1] not in (CONTRACT, SPLIT))
-        self.names = {(kind, side, conn): name for name, kind, side, conn, _ in plan}
         self.first: dict[tuple, tuple[str, str]] = {}  # (side, connective) -> its first row's kind and name
         for name, kind, side, conn, _ in plan:
             if conn is not None:
@@ -433,7 +436,7 @@ class _Construction:
         if shared is None:
             return ()
         chain, axiom = self._each(WEAKEN, seq, ((LEFT, shared), (RIGHT, shared)))
-        return (*chain, RuleInstance(self.names[AXIOM, None, None], axiom, (), shared))
+        return (*chain, RuleInstance(_BY_SHAPE[AXIOM, None, None], axiom, (), shared))
 
     def _each(self, kind: str, seq: Sequent, spared: tuple) -> tuple[list[RuleInstance], Sequent]:
         """The structural row of ``kind`` applied once to each occurrence of
@@ -441,7 +444,7 @@ class _Construction:
         sequent it ends at."""
         chain = []
         for side, pairs in ((LEFT, seq.ante_counts), (RIGHT, seq.succ_counts)):
-            name = self.names[kind, side, None]
+            name = _BY_SHAPE[kind, side, None]
             for g, n in pairs:
                 for _ in range(n - ((side, g) in spared)):
                     chain.append(apply_rule(seq, name, g))
@@ -453,9 +456,9 @@ class _Construction:
 
     def _picks(self, seq: Sequent, side: str, f: Binary, name: str) -> _Chain:
         """``&L`` or ``|R``: contract ``f``, then one pick on each copy."""
-        twice = apply_rule(seq, self.names[CONTRACT, side, None], f)
+        twice = apply_rule(seq, _BY_SHAPE[CONTRACT, side, None], f)
         one = apply_rule(twice.premises[0], name, f)
-        return twice, one, apply_rule(one.premises[0], self.names[PICK_RIGHT, side, f.conn], f)
+        return twice, one, apply_rule(one.premises[0], _BY_SHAPE[PICK_RIGHT, side, f.conn], f)
 
     def _split(self, seq: Sequent, side: str, f: Binary, name: str) -> _Chain:
         """Contract each context occurrence once, then split, giving each

@@ -400,24 +400,18 @@ def proof_from_json(text: str) -> "kernel.ProofTree":
 def print_proof(p: "kernel.ProofTree", format: str = "text") -> str:
     """Render a proof tree as indented text, bussproofs LaTeX, or JSON."""
     if format == "text":
-        lines: list[str] = []
-
-        def line(tree: "kernel.ProofTree", _children: list, depth: int) -> None:
-            lines.append("  " * depth + f"{print_sequent(tree.conclusion)}   [{tree.node.rule}]")
-
-        kernel.fold_proof(p, line)
-        return "\n".join(lines)
+        return "\n".join(
+            "  " * depth + f"{print_sequent(tree.conclusion)}   [{tree.node.rule}]"
+            for tree, depth in kernel.walk_proof(p)
+        )
     if format == "latex":
         lines = [r"\begin{prooftree}"]
-
-        def emit(tree: "kernel.ProofTree", _children: list, _depth: int) -> None:
+        for tree, _ in kernel.walk_proof(p):
             if not tree.children:
                 lines.append(r"\AxiomC{}")
             lines.append(rf"\RightLabel{{$\mathit{{{_latex_label(tree.node.rule)}}}$}}")
             infc = {0: "Unary", 1: "Unary", 2: "Binary"}[len(tree.children)]
             lines.append(rf"\{infc}InfC{{${sequent_to_latex(tree.conclusion)}$}}")
-
-        kernel.fold_proof(p, emit)
         lines.append(r"\end{prooftree}")
         return "\n".join(lines)
     if format == "json":

@@ -181,6 +181,12 @@ def test_prove_compare_at_modes(capsys):
     )
     assert code == 1
     assert "verdicts agree" in out
+    code, out, _ = run(
+        capsys, "prove", "Q(A) |- Q(A)@Q(A)", "--logic", "basic", "--compare-at-modes", "--format", "json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["comparison"] == {"at_mode": "primitive", "verdict": "not_provable", "agree": True}
 
 
 def test_usage_error_exits_64(capsys):
@@ -199,6 +205,9 @@ def test_expand_command(capsys):
     code, out, _ = run(capsys, "expand", "Q(A) @ Q(B)", "--format", "json")
     payload = json.loads(out)
     assert payload["expanded"] == "(A par B) & (~A par ~B)"
+    code, out, _ = run(capsys, "expand", "Q(A) @ Q(B)", "--format", "latex")
+    assert code == 0
+    assert out.strip() == r"\left(A \wp B\right) \mathbin{\&} \left(A^{\perp} \wp B^{\perp}\right)"
 
 
 def test_idempotence_command(capsys):
@@ -267,6 +276,17 @@ def test_selfref_command_json(capsys):
     assert payload["liar_outcome"] == "no-paradox"
 
 
+def test_selfref_command_text(capsys):
+    code, out, _ = run(capsys, "selfref", "@", "--logic", "basic")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 11
+    assert lines[:2] == ["connective: @", "logic: basic"]
+    assert lines[7] == "liar_outcome: no-paradox"
+    assert [line.split(":")[0] for line in lines[8:]] == ["liar", "note", "footnote"]
+    assert lines[8].endswith("(no paradox)")
+
+
 def test_selfref_rejected_under_linear(capsys):
     code, _, err = run(capsys, "selfref", "@", "--logic", "linear")
     assert code == 64
@@ -297,6 +317,10 @@ def test_quantum_clone_custom_state(capsys):
     code, out, _ = run(capsys, "quantum", "clone", "custom", "0.6", "0", "0.8", "0")
     assert code == 0
     assert "success: false" in out
+    # an imaginary amplitude prints with its i
+    code, out, _ = run(capsys, "quantum", "clone", "custom", "0.6", "0.8", "0", "0")
+    assert code == 0
+    assert out.splitlines()[0] == "input: 0.6+0.8i|0>"
     code, _, err = run(capsys, "quantum", "clone", "custom", "1", "0")
     assert code == 64
     code, _, err = run(capsys, "quantum", "clone", "custom", "0", "0", "0", "0")
@@ -312,6 +336,13 @@ def test_quantum_separable(capsys):
     code, out, _ = run(capsys, "quantum", "separable", "phi+")
     assert code == 0
     assert "separable: false" in out
+    code, out, _ = run(capsys, "quantum", "separable", "phi+", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "quantum separable",
+        "separable": False,
+        "state": "0.707106781187|00> + 0.707106781187|11>",
+    }
     code, out, _ = run(capsys, "quantum", "separable", "cat*zero")
     assert code == 0
     assert "separable: true" in out
