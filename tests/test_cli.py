@@ -196,6 +196,13 @@ def test_usage_error_exits_64(capsys):
     assert code == 64
     code, _, err = run(capsys, "prove", "A |- A", "--logic", "fuzzy")
     assert code == 64
+    for argv, message in (
+        (("prove", "A |- A", "--max-depth", "0"), "search limits must be positive"),
+        (("quantum", "clone", "custom", "x", "0", "1", "0"), "bad number in custom state: x 0 1 0"),
+        (("quantum", "clone", "zero", "one"), "unexpected state arguments: zero one"),
+        (("quantum", "clone", "plus"), "unknown state literal 'plus'; use zero, one, cat, or custom"),
+    ):
+        assert run(capsys, *argv) == (64, "", f"error: {message}\n")
 
 
 def test_expand_command(capsys):
@@ -365,6 +372,14 @@ def test_module_entry_point_subprocess():
     proc = python("-m", "entlogic", "prove", "Q(A) |- Q(A)@Q(A)", "--logic", "basic")
     assert proc.returncode == 1
     assert proc.stdout.strip() == "NotProvable (exhaustive)"
+
+
+def test_console_script_entry_point_subprocess():
+    # main_entry is what the entlogic console script runs
+    code = "import sys; from entlogic.cli import main_entry; sys.argv = ['entlogic', 'prove', 'A |- A']; main_entry()"
+    proc = python("-c", code)
+    assert proc.returncode == 0
+    assert proc.stdout == "Provable\nA |- A   [axiom]\n"
 
 
 def test_internal_error_exits_70_without_a_verdict(capsys, monkeypatch):

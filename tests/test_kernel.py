@@ -353,6 +353,24 @@ def test_a_shared_subproof_is_compared_with_each_premise_it_stands_for():
     assert verdict.reason == "child conclusion differs from premise"
 
 
+@pytest.mark.parametrize(
+    "tree, reason",
+    [
+        (ProofTree(RuleInstance("foo", seq("A |- A"), (), A)), "unknown rule 'foo'"),
+        (ProofTree(RuleInstance("axiom", seq("A, A |- A, A"), (), A)), "axiom must be a literal identity"),
+        (
+            ProofTree(RuleInstance("&L1", seq("A & B |- A"), (seq("A |- A"),), parse_formula("A & B"))),
+            "children do not match premises",
+        ),
+    ],
+    ids=["unknown-rule", "axiom-not-identity", "missing-child"],
+)
+def test_check_proof_names_the_fault_of_a_bad_root(tree, reason):
+    verdict = check_proof(tree, BASIC)
+    assert not verdict and verdict.path == ()
+    assert verdict.reason == reason
+
+
 def _chain() -> ProofTree:
     """The 2,001-level &L1 chain proof of (...((A & A) & A)... & A) |- A."""
     tree = ProofTree(RuleInstance("axiom", Sequent.of((A,), (A,)), (), A))

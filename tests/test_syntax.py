@@ -290,6 +290,7 @@ _TABLE = {
         ({"nodes": {}}, "expected a list of nodes"),
         ({"root": -1}, r"proof root -1 is not in range\(2\)"),
         ({"root": True}, "proof root True"),
+        ({"nodes": [[0, 1, []], [1, "&R", [0, 0]]]}, "proof nodes row 0: rule 1 is not a string"),
     ],
 )
 def test_proof_from_dict_rejects_a_malformed_table(edit, message):
