@@ -10,14 +10,19 @@ Formula terms are hash-consed: the constructors look every term up in one
 intern table, so structurally equal formulas are the same object.  Equality
 and hashing are therefore object identity, and each term's sort key and its
 relevance summary (its literal mask and its relevance clauses on each side of
-a sequent) are computed once, when it is built.  The table holds its terms
-weakly, so a term that nothing else references leaves it.
+a sequent) are computed once, when it is built.  The table is a plain dict
+from a term's key to a weak reference to it, so a lookup is one C-level
+``dict.get`` and one call of the reference, and a term that nothing else
+references leaves the table.  Each live literal holds a bit of its own in
+the relevance masks, so a mask of literals names one set of live literals.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple, Union
@@ -59,10 +64,19 @@ class ShapeError(ValueError):
     """An @/$ node was built over (or inspected with) non-qubit operands."""
 
 
-# Every live formula term, keyed by its class and fields.  The children of a
-# Binary are interned before it, so the key compares them by identity.  The
-# constructors look a term up here first and build it only when it is absent.
-_TERMS: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDictionary()
+# Every live formula term, keyed by its class and fields, as a weak reference
+# that carries its key.  The children of a Binary are interned before it, so
+# the key compares them by identity.  The constructors look a term up here
+# first and build it only when it is absent.
+_TERMS: dict[tuple, weakref.KeyedRef] = {}
+
+# A dead reference: what the lookup of an absent key calls, getting None.
+_ABSENT = weakref.ref(set())
+
+
+def _drop(ref: weakref.KeyedRef) -> None:
+    """Drop the row of a term that died, unless a newer term took its key."""
+    _remove_dead_weakref(_TERMS, ref.key)
 
 
 def _intern(cls, fields: tuple, sort_key: tuple, relevance: tuple):
@@ -73,7 +87,11 @@ def _intern(cls, fields: tuple, sort_key: tuple, relevance: tuple):
         object.__setattr__(term, name, value)
     object.__setattr__(term, "sort_key", sort_key)
     object.__setattr__(term, "relevance", relevance)
-    return _TERMS.setdefault((cls, *fields), term)
+    key = (cls, *fields)
+    ref = weakref.KeyedRef(term, _drop, key)
+    while (found := _TERMS.setdefault(key, ref)()) is None:
+        _remove_dead_weakref(_TERMS, key)  # a dead term's row whose callback has not run yet
+    return found
 
 
 # Literal relevance (the lemma is in kernel.py).  A term's ``relevance`` is
@@ -86,28 +104,39 @@ def _intern(cls, fields: tuple, sort_key: tuple, relevance: tuple):
 _CAP = 16
 
 # (literal class, atom name) -> the bit of that live literal in the relevance
-# masks.  A new literal takes the lowest bit no live literal holds, and its
-# bit is freed when it dies: a term holds its operands, so no live mask has
-# a dead literal's bit.  Threads that build literals at once can give two of
-# them one bit, which only weakens the relevance check.
+# masks.  A new literal takes the lowest bit that no live literal holds, and
+# its bit is freed when it dies: a term holds its operands, so no live mask
+# has a dead literal's bit.  One lock makes a literal's bit, its table row
+# and its finalizer one step, so two live literals never share a bit, and a
+# bit is freed once, by the literal that held it.  It is reentrant because
+# a literal can die, and free its bit, in a collection that the step starts.
 _BITS: dict[tuple[type, str], int] = {}
-_FREE = 0  # the mask of the freed bits
+_USED = 0  # the mask of the bits that live literals hold
+_LITERAL_LOCK = threading.RLock()
 
 
 def _literal(cls, name: str, sort_key: tuple):
-    """Intern a new literal of class ``cls``."""
-    global _FREE
+    """The literal of class ``cls``, interned with a new bit unless another
+    thread built it first."""
+    global _USED
     key = (cls, name)
-    bit = _BITS[key] = _FREE & -_FREE or 1 << len(_BITS)
-    _FREE &= ~bit
-    term = _intern(cls, (name,), sort_key, (bit, (bit,), (bit,)))
-    weakref.finalize(term, _free, key).atexit = False
+    with _LITERAL_LOCK:
+        term = _TERMS.get(key, _ABSENT)()
+        if term is None:
+            bit = ~_USED & (_USED + 1)
+            _USED |= bit
+            _BITS[key] = bit
+            term = _intern(cls, (name,), sort_key, (bit, (bit,), (bit,)))
+            weakref.finalize(term, _free, key, bit).atexit = False
     return term
 
 
-def _free(key: tuple[type, str]) -> None:
-    global _FREE
-    _FREE |= _BITS.pop(key)
+def _free(key: tuple[type, str], bit: int) -> None:
+    global _USED
+    with _LITERAL_LOCK:
+        _USED &= ~bit
+        if _BITS.get(key) == bit:  # no newer literal of the same name holds the row
+            del _BITS[key]
 
 
 def _clauses(either: bool, mask: int, left: tuple, right: tuple) -> tuple[int, ...]:
@@ -207,7 +236,7 @@ class PosAtom(_Term):
     __slots__ = __match_args__ = ("name",)
 
     def __new__(cls, name: str) -> "PosAtom":
-        return _TERMS.get((cls, name)) or _literal(cls, name, (0, name, 0))
+        return _TERMS.get((cls, name), _ABSENT)() or _literal(cls, name, (0, name, 0))
 
     def __str__(self) -> str:
         return self.name
@@ -217,7 +246,7 @@ class NegAtom(_Term):
     __slots__ = __match_args__ = ("name",)
 
     def __new__(cls, name: str) -> "NegAtom":
-        return _TERMS.get((cls, name)) or _literal(cls, name, (0, name, 1))
+        return _TERMS.get((cls, name), _ABSENT)() or _literal(cls, name, (0, name, 1))
 
     def __str__(self) -> str:
         return "~" + self.name
@@ -227,7 +256,7 @@ class Binary(_Term):
     __slots__ = __match_args__ = ("conn", "left", "right")
 
     def __new__(cls, conn: Conn, left: "Formula", right: "Formula") -> "Binary":
-        return _TERMS.get((cls, conn, left, right)) or _intern(
+        return _TERMS.get((cls, conn, left, right), _ABSENT)() or _intern(
             cls,
             (conn, left, right),
             (1, _CONN_INDEX[conn], left.sort_key, right.sort_key),

@@ -470,13 +470,6 @@ def _add(half: _Half, g: Formula, n: int, slot: int) -> _Half:
     return pairs + ((g, n),), occurring | relevance[0], clauses
 
 
-def _half(pairs: Counts, side: str) -> _Half:
-    half, slot = _EMPTY, _SLOT[side]
-    for g, n in pairs:
-        half = _add(half, g, n, slot)
-    return half
-
-
 def _refuted(ante: _Half, succ: _Half) -> bool:
     """Some clause of a formula of one side has no literal on the other."""
     _, ante_occurring, ante_clauses = ante
@@ -490,12 +483,31 @@ def _refuted(ante: _Half, succ: _Half) -> bool:
     return False
 
 
+def _mask(pairs: Counts) -> int:
+    """The bits of the literals of ``pairs``."""
+    mask = 0
+    for g, _ in pairs:
+        mask |= g.relevance[0]
+    return mask
+
+
 def literal_refuted(s: Sequent) -> bool:
     """A formula on one side cannot meet the other side's literals at axioms:
     a literal has no twin there, or an ``&`` on the left or ``|`` on the right
     neither of its subformulas can, or another compound formula one of its
     subformulas.  With weakening off, the sequent then has no proof."""
-    return _refuted(_half(s.ante_counts, LEFT), _half(s.succ_counts, RIGHT))
+    ante, succ = s.ante_counts, s.succ_counts
+    succ_mask = _mask(succ)
+    for g, _ in ante:
+        for clause in g.relevance[1]:
+            if not clause & succ_mask:
+                return True
+    ante_mask = _mask(ante)
+    for g, _ in succ:
+        for clause in g.relevance[2]:
+            if not clause & ante_mask:
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -724,12 +736,14 @@ class Evaluator:
     its countermodels.  A term's planes on a side, and a half's value
     (:meth:`half`), depend only on the layout, so one evaluator serves every
     goal with that layout (:class:`Layouts`).  With no model, none is
-    falsified."""
+    falsified.  ``literals`` holds the shared literals, with or without a
+    model, so their bits, which key the layout, pass to no new literal."""
 
-    __slots__ = ("model", "pairs", "ones", "width", "empty", "extremes", "planes", "halves")
+    __slots__ = ("model", "literals", "pairs", "ones", "width", "empty", "extremes", "planes", "halves")
 
     def __init__(self, model: Optional[Model], shared: list[Formula]):
         self.model = model
+        self.literals = shared
         if model is not None:
             self.pairs = _PAIRS[model.name]
             self.ones, digits, self.empty, self.extremes = _frame(model, len(shared))
@@ -784,31 +798,26 @@ class Evaluator:
 
 class Layouts:
     """The :class:`Evaluator` of every layout met under one configuration,
-    keyed by the layout's shared literals, and the literals of every goal
-    side met.  The tables hold values only, so they live as long as the
-    search memo they serve."""
+    keyed by the mask of the layout's shared literals: the AND of the
+    literal masks of the goal's two sides, read off its terms' relevance
+    slots.  The tables hold values only, so they live as long as the search
+    memo they serve."""
 
-    __slots__ = ("cfg", "literals", "evaluators")
+    __slots__ = ("cfg", "evaluators")
 
     def __init__(self, cfg: LogicConfig):
         self.cfg = cfg
-        self.literals: dict[Counts, frozenset[Formula]] = {}
-        self.evaluators: dict[frozenset[Formula], Evaluator] = {}
-
-    def _literals(self, pairs: Counts) -> frozenset[Formula]:
-        found = self.literals.get(pairs)
-        if found is None:
-            found = self.literals[pairs] = _literals(pairs)
-        return found
+        self.evaluators: dict[int, Evaluator] = {}
 
     def evaluator(self, goal: Sequent) -> Evaluator:
         """The evaluator of ``goal``'s layout, for the goal and its search."""
-        shared = self._literals(goal.ante_counts) & self._literals(goal.succ_counts)
+        shared = _mask(goal.ante_counts) & _mask(goal.succ_counts)
         found = self.evaluators.get(shared)
         if found is None:
-            k = len(shared)
+            literals = sorted((g for g in _literals(goal.ante_counts) if g.relevance[0] & shared), key=sort_key)
+            k = len(literals)
             model = next((m for m in reversed(models(self.cfg)) if len(m.elements) ** k <= VALUATIONS), None)
-            found = self.evaluators[shared] = Evaluator(model, sorted(shared, key=sort_key))
+            found = self.evaluators[shared] = Evaluator(model, literals)
         return found
 
     def countermodel(self, s: Sequent) -> Optional[Countermodel]:
@@ -826,9 +835,9 @@ class Layouts:
         if not mask:
             return None
         i = (mask & -mask).bit_length() - 1
-        left = self._literals(s.ante_counts)
+        left = _literals(s.ante_counts)
         elements, valuation = evaluator.model.elements, []
-        for lit in sorted(left | self._literals(s.succ_counts), key=sort_key):
+        for lit in sorted(left | _literals(s.succ_counts), key=sort_key):
             planes = evaluator.value(lit, LEFT if lit in left else RIGHT)
             valuation.append((str(lit), elements[sum(plane >> i & 1 for plane in planes[1:])]))
         return evaluator.model.name, tuple(valuation)

@@ -37,7 +37,6 @@ from .formulas import (
     ent,
     fold,
     is_qubit_shaped,
-    qubit_of,
     sec,
 )
 from . import kernel
@@ -132,7 +131,8 @@ def _formula(text: str, tokens: list, i: int) -> tuple[Formula, int]:
         if tok == "Q" and tokens[i + 1] == "(":
             _expect(text, i + 2, tokens[i + 2] not in _NOT_ATOM, "an atom")
             _expect(text, i + 3, tokens[i + 3] == ")", ")")
-            value = qubit_of(tokens[i + 2])
+            atom = tokens[i + 2]  # the tokenizer checked its shape
+            value = Binary(Conn.WITH, PosAtom(atom), NegAtom(atom))
             value = dual(value) if tilde else value
             i += 4
         else:

@@ -1,6 +1,10 @@
 import copy
 import gc
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 import weakref
 
 import pytest
@@ -272,7 +276,8 @@ def test_dead_terms_leave_the_intern_table():
         def names(t):
             return {getattr(x, "name", None) for x in (t, getattr(t, "left", None), getattr(t, "right", None))}
 
-        own = [t for t in formulas_module._TERMS.values() if "Fresh_only_here" in names(t)]
+        live = [ref() for ref in list(formulas_module._TERMS.values())]
+        own = [t for t in live if t is not None and "Fresh_only_here" in names(t)]
         return [t for t in own if "Fresh_only_here" in repr(t)]
 
     f = Binary(Conn.TIMES, PosAtom("Fresh_only_here"), NegAtom("Fresh_only_here"))
@@ -284,9 +289,67 @@ def test_dead_terms_leave_the_intern_table():
     assert fresh_terms() == []
 
 
+_THREADED_LITERALS = textwrap.dedent(
+    """
+    import gc, random, sys, threading
+    from entlogic import formulas
+    from entlogic.formulas import NegAtom, PosAtom
+
+    def live_literals():
+        rows = list(formulas._TERMS.items())
+        return sum(1 for key, ref in rows if key[0] in (PosAtom, NegAtom) and ref() is not None)
+
+    def race(names):
+        # eight threads build the same fresh literals, each in its own
+        # order, so they race to take bits and to intern one name
+        built = [[] for _ in range(8)]
+        start = threading.Barrier(8)
+
+        def build(k):
+            order = random.Random(k).sample(names, len(names))
+            start.wait()
+            for name in order:
+                built[k] += PosAtom(name), NegAtom(name)
+
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        literals = {id(lit): lit for terms in built for lit in terms}.values()
+        assert len(literals) == 2 * len(names), len(literals)  # one term per name and sign
+        bits = [lit.relevance[0] for lit in literals]
+        assert all(bit.bit_count() == 1 for bit in bits)
+        assert len(set(bits)) == len(bits), len(bits) - len(set(bits))
+        assert all(formulas._BITS[type(lit), lit.name] == lit.relevance[0] for lit in literals)
+        assert len(formulas._BITS) == live_literals()
+
+    sys.setswitchinterval(1e-6)  # the threads change hands often
+    for r in range(5):
+        race([f"Fresh_thread_{r}_{i}" for i in range(1000)])
+        gc.collect()
+        assert len(formulas._BITS) == live_literals() < 2000
+    print("ok")
+    """
+)
+
+
+def test_threads_that_build_literals_get_distinct_bits():
+    # in a fresh interpreter, so that a finalizer's error reaches stderr
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREADED_LITERALS], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
 def test_relevance_bits_of_dead_literals_are_reused():
     def live_literals():
-        return sum(1 for key in list(formulas_module._TERMS) if key[0] in (PosAtom, NegAtom))
+        rows = list(formulas_module._TERMS.items())
+        return sum(1 for key, ref in rows if key[0] in (PosAtom, NegAtom) and ref() is not None)
 
     for k in range(6):
         names = [f"Fresh_bit_{k}_{i}" for i in range(40)]

@@ -7,7 +7,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings
 
-from entlogic import formulas, search
+from entlogic import formulas, kernel, search
 from entlogic.formulas import Binary, Conn, NegAtom, PosAtom, dual, fold, qubit_of
 from entlogic.kernel import (
     RULES,
@@ -543,7 +543,8 @@ def test_dead_formulas_leave_the_clause_tables():
         def names(f):
             return {getattr(x, "name", None) for x in (f, getattr(f, "left", None), getattr(f, "right", None))}
 
-        return [f for f in list(formulas._TERMS.values()) if "Fresh_clause_only_here" in names(f)]
+        live = [ref() for ref in list(formulas._TERMS.values())]
+        return [f for f in live if f is not None and "Fresh_clause_only_here" in names(f)]
 
     f = Binary(Conn.TIMES, PosAtom("Fresh_clause_only_here"), NegAtom("Fresh_clause_only_here"))
     literal_refuted(Sequent((f,), (f,)))
@@ -873,13 +874,76 @@ def test_layout_tables_ignore_call_order_on_random_goals(cfg):
     _assert_tables_ignore_call_order(goals, cfg)
 
 
+def _shared_literals(goal):
+    """The literals on both sides of ``goal``, by plain recursion."""
+
+    def walk(f):
+        return walk(f.left) | walk(f.right) if isinstance(f, Binary) else {f}
+
+    def side(formulas):
+        return set().union(*map(walk, formulas))
+
+    return side(goal.antecedent) & side(goal.succedent)
+
+
+def _renamed(goal, names):
+    """``goal`` with the atoms A and B renamed by ``names``."""
+
+    def leaf(lit):
+        return type(lit)(names[lit.name])
+
+    def rename(f):
+        return fold(f, leaf, lambda g, l, r: Binary(g.conn, l, r))
+
+    return Sequent(map(rename, goal.antecedent), map(rename, goal.succedent))
+
+
+@pytest.mark.parametrize("cfg", [BASIC, WEAK_ONLY, CONTR_ONLY])
+def test_the_layout_key_finds_the_goals_shared_literals(cfg):
+    # one table serves goals over eight atoms: each goal's evaluator holds
+    # exactly its literals on both sides, in canonical order
+    rng = random.Random(30)
+    pool = [f"P{i}" for i in range(8)]
+    layouts = Layouts(cfg)
+    for _ in range(300):
+        names = dict(zip("AB", rng.sample(pool, 2)))
+        goal = _renamed(strategies.random_sequent(rng, max_per_side=3), names)
+        shared = sorted(_shared_literals(goal), key=formulas.sort_key)
+        evaluator = layouts.evaluator(goal)
+        assert evaluator.literals == shared, str(goal)
+        fits = [m.name for m in kernel.models(cfg) if len(m.elements) ** len(shared) <= kernel.VALUATIONS]
+        assert (evaluator.model and evaluator.model.name) == (fits[-1] if fits else None)
+    assert len(layouts.evaluators) > 30
+
+
+@pytest.mark.parametrize("count", [1, 13])  # one shared literal fits M4; 2 ** 13 valuations fit no model
+def test_an_evaluator_keeps_its_literals_until_clear_memo(count):
+    clear_memo()
+    names = ", ".join(f"Fresh_layout_{i}" for i in range(count))
+    prove(seq(f"{names} |- {names}"), BASIC)
+    (tables,) = search._MEMO.values()
+    ((key, evaluator),) = tables.layouts.evaluators.items()
+    assert (evaluator.model is None) == (count == 13)
+    refs = [weakref.ref(lit) for lit in evaluator.literals]
+    assert len(refs) == count
+    del tables, evaluator
+    _forget_verdicts()  # now only the layout table holds the literals
+    gc.collect()
+    assert all(ref() is not None for ref in refs)
+    assert not PosAtom("Fresh_layout_new").relevance[0] & key  # their bits are not reused
+    clear_memo()
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
 def test_clear_memo_empties_the_layout_tables():
     clear_memo()
     goal = seq("A & B, A & B |- A")
     assert prove(goal, BASIC).stats.falsified == 1
     (tables,) = search._MEMO.values()
     layouts = tables.layouts
-    assert layouts.evaluators and layouts.literals
+    (evaluator,) = layouts.evaluators.values()
+    assert [str(lit) for lit in evaluator.literals] == ["A"]  # the one literal on both sides
     clear_memo()
     assert not search._MEMO
     for cfg in (CONTR_ONLY, CLASSICAL):  # their tables last one call

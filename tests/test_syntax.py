@@ -57,6 +57,33 @@ def test_qubit_sugar_only_with_parens():
     assert parse_formula("Q(A)") == qubit_of("A")
 
 
+def test_qubit_sugar_is_the_interned_qubit():
+    assert parse_formula("Q(Ab_1)") is qubit_of("Ab_1")
+    assert parse_formula("Q ( Q )") is qubit_of("Q")
+    assert parse_formula("~Q(B)") is dual(qubit_of("B"))
+
+
+@pytest.mark.parametrize(
+    "text, span, message, expected",
+    [
+        ("Q()", (2, 3), "expected an atom", ("an atom",)),
+        ("Q(a)", (2, 3), "unknown keyword 'a'", ()),
+        ("Q(A", (3, 3), "expected )", (")",)),
+        ("Q(A B)", (4, 5), "expected )", (")",)),
+        ("Q(~A)", (2, 3), "expected an atom", ("an atom",)),
+        ("Q(Q(A))", (3, 4), "expected )", (")",)),
+        ("Q(A))", (4, 5), "unexpected ')' after formula", ()),
+        ("Q(A,B)", (3, 4), "expected )", (")",)),
+        ("Q(1)", (2, 3), "unexpected character '1'", ()),
+    ],
+)
+def test_qubit_sugar_errors(text, span, message, expected):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert (err.value.span.start, err.value.span.end) == span
+    assert (err.value.message, err.value.expected) == (message, expected)
+
+
 def test_ent_operands_must_be_qubit_shaped():
     with pytest.raises(ParseError) as err:
         parse_formula("A @ Q(B)")
