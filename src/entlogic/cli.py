@@ -246,8 +246,9 @@ def _cmd_selfref(args) -> int:
 def _cmd_report_matrix(args) -> int:
     rows = report_matrix(at_mode=args.at_mode, limits=_limits(args))
     if args.format == "json":
-        _emit_json([matrix_row_to_dict(r) for r in rows])
+        _emit_json([{"at_mode": args.at_mode, **matrix_row_to_dict(r)} for r in rows])
     else:
+        _emit(f"at_mode: {args.at_mode}")
         _emit(matrix_to_text(rows))
     return EX_OK
 

@@ -302,9 +302,19 @@ def test_selfref_rejected_under_linear(capsys):
 def test_report_matrix_row_count(capsys):
     code, out, _ = run(capsys, "report-matrix")
     assert code == 0
-    assert len(out.strip().splitlines()) == 20  # header + rule + 18 rows
+    assert len(out.strip().splitlines()) == 21  # at_mode + header + rule + 18 rows
     code, out, _ = run(capsys, "report-matrix", "--format", "json")
     assert len(json.loads(out)) == 18
+
+
+@pytest.mark.parametrize("mode", ["primitive", "expand"])
+def test_report_matrix_names_its_at_mode(capsys, mode):
+    code, out, _ = run(capsys, "report-matrix", "--at-mode", mode)
+    assert code == 0
+    assert out.splitlines()[0] == f"at_mode: {mode}"
+    code, out, _ = run(capsys, "report-matrix", "--at-mode", mode, "--format", "json")
+    assert code == 0
+    assert {row["at_mode"] for row in json.loads(out)} == {mode}
 
 
 def test_quantum_clone_outputs(capsys):
