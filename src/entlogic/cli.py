@@ -327,7 +327,8 @@ def _cmd_separable(args) -> int:
 _SEARCH_OPTIONS = {
     "--logic": dict(choices=PRESETS, default="basic"),
     "--at-mode": dict(choices=(AT_PRIMITIVE, AT_EXPAND), default=AT_EXPAND),
-    "--max-depth": dict(type=int, default=DEFAULT_LIMITS.max_depth),
+    "--max-depth": dict(type=int, default=DEFAULT_LIMITS.max_depth,
+                        help="bounds only the deepening of a search with contraction and without weakening"),
     "--max-nodes": dict(type=int, default=DEFAULT_LIMITS.max_nodes),
 }
 _ALL_FORMATS = ("text", "latex", "json")

@@ -18,28 +18,29 @@ is evaluated in one such model, the strongest that fits the goal's layout
 the goals with that layout, looked up at the first node it is needed), and
 one that the model falsifies fails outright; a context split with a
 premise the model falsifies is skipped before its premises are built, so
-such a premise is never a node.  With contraction
-disabled every rule's premises are strictly smaller than its conclusion,
-so a single round at the depth limit suffices; a formula
-that cannot meet the other side's literals at axioms (weakening off too: a
-literal without its twin there, an ``&`` on the left or ``|`` on the right
-neither of whose subformulas can, another compound formula one of whose
-subformulas cannot) or a failed premise of an invertible rule then settles
-a sequent without a sweep too.  With contraction alone premises can grow
-and the space is usually infinite.  A goal a model falsifies is settled
-before any search, as in the classical case; otherwise the rounds deepen
-the budget one step
-at a time (iterative deepening), which finds a minimal-height derivation
-whenever one exists and reports Unknown when a limit binds.  There a
-sequent whose proof-height lower bound (``kernel.HeightBound``) exceeds its
-budget is cut before it is expanded, as in IDA*: the cut removes only
-branches that would fail, and since every sequent but an axiom needs
-height 2, a round's frontier at budget 1 expands axioms only.  A bound of
-``inf`` proves that the sequent has no proof, so it fails outright.  Repeated
-sequents along a branch need no dedicated loop check: a proof with such a
-repeat can always be shortened past it, and the budget already bounds
-every branch.  Both engines keep their own stack, one entry per open
-sequent, so the height of a proof costs heap, not Python frames.
+such a premise is never a node.  With contraction disabled every rule's
+premises are strictly smaller than its conclusion, so no proof is taller
+than the goal's size: one round at that budget cuts nothing, the depth
+limit does not apply, and a formula that cannot meet the other side's
+literals at axioms (weakening off too: a literal without its twin there,
+an ``&`` on the left or ``|`` on the right neither of whose subformulas
+can, another compound formula one of whose subformulas cannot) or a
+failed premise of an invertible rule settles a sequent without a sweep
+too.  With contraction alone premises can grow and the space is usually
+infinite.  A goal a model falsifies is settled before any search, as in
+the classical case; otherwise the rounds deepen the budget one step at a
+time up to the depth limit (iterative deepening), which finds a
+minimal-height derivation whenever one exists and reports Unknown when a
+limit binds.  There a sequent whose proof-height lower bound
+(``kernel.HeightBound``) exceeds its budget is cut before it is expanded,
+as in IDA*: the cut removes only branches that would fail, and since every
+sequent but an axiom needs height 2, a round's frontier at budget 1
+expands axioms only.  A bound of ``inf`` proves that the sequent has no
+proof, so it fails outright.  Repeated sequents along a branch need no
+dedicated loop check: a proof with such a repeat can always be shortened
+past it, and the budget already bounds every branch.  Both engines keep
+their own stack, one entry per open sequent, so the height of a proof
+costs heap, not Python frames.
 """
 
 from __future__ import annotations
@@ -122,11 +123,11 @@ class SearchStats(NamedTuple):
     # model-falsified premise, nodes falsified by a finite model (literal
     # refutation first; the model is checked at nodes and at split
     # premises, so a premise it falsifies is a node only outside a split),
-    # and the sequents a height bound settled at lookup: cut when the bound
-    # is finite, failed outright when it is inf.  The rest of cuts are
-    # budget-limited failures the memo replayed.  The bound is
-    # kernel.HeightBound with contraction on and 1 without, so there
-    # bounded counts the cuts at the depth limit.  A classical construction
+    # and the sequents kernel.HeightBound settled at lookup: cut when the
+    # bound is finite, failed outright when it is inf.  The rest of cuts are
+    # budget-limited failures the memo replayed.  Only a search with
+    # contraction has a budget that binds, so cuts and bounded are 0
+    # without it.  A classical construction
     # fills nodes_expanded with the sequents it built, max_depth with its
     # proof's height, instances with those it drew and falsified with those
     # passed over for a premise B2 falsified; the rest stay 0
@@ -183,10 +184,10 @@ class _Tables(NamedTuple):
 _OPEN = object()  # a memo lookup's answer when the sequent must be searched
 
 # Tables shared across calls, one set per configuration.  Only searches
-# without contraction use them: those record outright failures only, which
-# hold at every budget.  A search with contraction starts from fresh tables,
-# so its budget-limited failures and node-limited verdicts do not depend on
-# earlier calls.
+# without contraction use them: no budget binds there, so every failure
+# they record is outright and every proof fits.  A search with contraction
+# starts from fresh tables, so its budget-limited failures and node-limited
+# verdicts do not depend on earlier calls.
 _MEMO: dict[tuple, _Tables] = {}
 
 
@@ -237,10 +238,8 @@ class _Search:
         self.pruned = 0
         self.falsified = 0
         self.bounded = 0
-        # without contraction every proof's height bound is taken as 1, so a
-        # cut there is the depth limit, and an outright failure stays one;
-        # with it weakening is off, as the bound needs: prove takes weakening
-        # and contraction together to _Construction
+        # with contraction weakening is off, as the bound needs: prove takes
+        # weakening and contraction together to _Construction
         self.bound = HeightBound() if cfg.contraction else None
         # the prunings are used in the contraction-free regimes only (CHANGES.md);
         # no split is built with a premise the model falsifies, or, where
@@ -249,8 +248,8 @@ class _Search:
 
     def run(self, goal: Sequent) -> tuple[Optional[ProofTree], Optional[str]]:
         self.goal = goal
-        top = self.limits.max_depth
-        for budget in range(1, top + 1) if self.cfg.contraction else (top,):
+        # without contraction no proof is taller than the goal's size, so one round there cuts nothing
+        for budget in range(1, self.limits.max_depth + 1) if self.cfg.contraction else (goal.size(),):
             self.round = budget
             cuts_before = self.cuts
             found = self._dfs(goal, budget)
@@ -276,15 +275,14 @@ class _Search:
             if failed_at != _INF:
                 self.cuts += 1  # that failure was budget-limited
             return None
-        bound = 1 if self.bound is None else self.bound(seq)
-        if budget < bound:
-            self.bounded += 1
-            if bound == _INF:  # no proof at any height
-                self.fail_at[seq] = _INF
-            else:
-                self.cuts += 1
-            return None
-        return _OPEN
+        if self.bound is None or budget >= (bound := self.bound(seq)):
+            return _OPEN  # the bound fits, or there is none: no budget binds without contraction
+        self.bounded += 1
+        if bound == _INF:  # no proof at any height
+            self.fail_at[seq] = _INF
+        else:
+            self.cuts += 1
+        return None
 
     def _dfs(self, goal: Sequent, budget: int) -> Optional[ProofTree]:
         answer = self._lookup(goal, budget)
@@ -343,7 +341,7 @@ class _Search:
                 return None
         if self.cuts == cuts_before:
             self.fail_at[seq] = _INF
-        elif self.cfg.contraction:  # a budget-limited failure: only for this call's tables
+        else:  # a budget-limited failure: only with contraction, so only for this call's tables
             self.fail_at[seq] = budget
         return None
 

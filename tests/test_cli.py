@@ -486,14 +486,14 @@ def test_deeply_nested_goal_proves_with_checked_proof():
 
 
 def test_proof_taller_than_the_recursion_limit_prints():
-    # at --max-depth 3000 the search takes &L1 down all 2,000 levels, so the
-    # proof is 2,001 nodes tall: the search, the checker and the printers
-    # must not grow the Python stack per proof level
+    # the depth limit does not bind without contraction, so the search takes
+    # &L1 down all 2,000 levels and the proof is 2,001 nodes tall: the search,
+    # the checker and the printers must not grow the Python stack per level
     text = "A & A"
     for _ in range(1999):
         text = f"({text}) & A"
     for fmt, lines in (("text", 2002), ("latex", 4006)):
-        argv = ("prove", text + " |- A", "--max-depth", "3000", "--format", fmt)
+        argv = ("prove", text + " |- A", "--format", fmt)
         proc = python("-m", "entlogic", *argv)
         assert proc.returncode == 0, proc.stderr
         out = proc.stdout.splitlines()

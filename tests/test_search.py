@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import time
 import weakref
@@ -22,6 +23,7 @@ from entlogic.kernel import (
     rule_instances,
 )
 from entlogic.search import (
+    DEFAULT_LIMITS,
     GoalRejectedError,
     SearchLimits,
     clear_memo,
@@ -116,47 +118,62 @@ def test_depth_limit_reports_unknown():
     assert result.limit_hit == "depth"
 
 
-def test_depth_cut_tries_the_next_instance():
-    # &L1 runs 100 levels down and is cut at max_depth 64; &L2 still proves it
+def _left_nested(n):
+    """``(((A & A) & A) ... & A) |- A`` with ``n`` A's on the left."""
     text = "A"
-    for _ in range(99):
+    for _ in range(n - 1):
         text = f"({text} & A)"
-    result = prove(seq(text + " |- A"), BASIC)
-    assert result.is_provable
-    assert result.limit_hit is None
+    return seq(text + " |- A")
 
 
-def test_depth_cut_without_proof_is_unknown():
-    clear_memo()  # a memoized proof from an earlier call would bypass the cut
+def _printed(result):
+    """A result's verdict, limit and proof text, comparable across calls."""
+    return result.verdict, result.limit_hit, result.proof and print_proof(result.proof)
+
+
+def test_default_depth_limit_does_not_cut_a_tall_proof():
+    # without contraction no budget binds, so &L1 runs all 100 levels down
+    # past the default max_depth of 64 and proves the goal
+    clear_memo()
+    result = prove(_left_nested(100), BASIC)
+    assert result.is_provable and result.limit_hit is None
+    assert result.proof.height() == 100
+
+
+def test_depth_limit_does_not_bind_without_contraction():
+    # Unknown (depth) stays covered under contraction alone by
+    # test_depth_limit_reports_unknown
+    clear_memo()
     result = prove(seq("A * B |- A * B"), BASIC, SearchLimits(max_depth=2))
-    assert result.is_unknown
-    assert result.limit_hit == "depth"
+    assert result.is_provable and result.limit_hit is None
+    assert result.proof.height() == 3
 
 
-def test_depth_limit_ignores_memoized_taller_proof():
-    # a full search first stores a height-3 proof; the depth-2 search that
-    # follows must not return it, so the verdict does not depend on history
+def test_depth_limit_returns_the_stored_proof_without_contraction():
+    # the depth-2 call returns the height-3 proof a full search stored,
+    # and the same one from an empty memo, so it does not depend on history
     goal = seq("A * B |- A * B")
+    clear_memo()
     full = prove(goal, BASIC)
     assert full.is_provable and full.proof.height() == 3
-    result = prove(goal, BASIC, SearchLimits(max_depth=2))
-    assert result.is_unknown
-    assert result.limit_hit == "depth"
-    assert prove(goal, BASIC).proof == full.proof
+    assert prove(goal, BASIC, SearchLimits(max_depth=2)).proof is full.proof
+    clear_memo()
+    tight = prove(goal, BASIC, SearchLimits(max_depth=2)).proof
+    assert print_proof(tight) == print_proof(full.proof)
+    assert prove(goal, BASIC).proof is tight
 
 
 def test_shorter_proof_under_tighter_limit_does_not_replace_stored_one():
-    # the depth-2 call finds a shorter proof than the stored one; a later
-    # unlimited call still returns the proof a fresh process would
-    text = "A"
-    for _ in range(99):
-        text = f"({text} & A)"
-    goal = seq(text + " |- A")
+    # the depth-2 call finds no shorter proof to store: cold, after it, and
+    # warm, the proof is the 100-high one a fresh process finds
+    goal = _left_nested(100)
     clear_memo()
-    first = prove(goal, BASIC).proof
-    assert prove(goal, BASIC, SearchLimits(max_depth=2)).proof.height() == 2
-    assert prove(goal, BASIC).proof == first
-    assert first.height() > 2
+    cold = prove(goal, BASIC).proof
+    clear_memo()
+    tight = prove(goal, BASIC, SearchLimits(max_depth=2)).proof
+    assert print_proof(tight) == print_proof(cold)
+    assert prove(goal, BASIC).proof is prove(goal, BASIC).proof is tight
+    assert cold.height() == 100
 
 
 @pytest.mark.parametrize("cfg", [BASIC, CLASSICAL])
@@ -171,12 +188,62 @@ def test_search_counters_are_deterministic(cfg):
 
 
 def test_search_counters_count_memo_hits_and_cuts():
-    clear_memo()
     goal = seq("A * B |- A * B")
-    assert prove(goal, BASIC, SearchLimits(max_depth=2)).stats.cuts > 0
-    assert prove(goal, BASIC).stats.cuts == 0
+    for max_depth in (1, 2, 64):  # without contraction nothing is cut at any depth
+        clear_memo()
+        assert prove(goal, BASIC, SearchLimits(max_depth=max_depth)).stats.cuts == 0
     again = prove(goal, BASIC).stats
-    assert (again.nodes_expanded, again.memo_hits) == (0, 1)
+    assert (again.nodes_expanded, again.memo_hits, again.cuts) == (0, 1, 0)
+    # iterative deepening cuts at each round below the proof's height 5
+    assert prove(seq("A par A |- A * A"), CONTR_ONLY).stats.cuts > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequents(max_per_side=2, max_depth=2))
+@pytest.mark.parametrize("cfg", [BASIC, BASIC_EXPAND, WEAK_ONLY])
+def test_depth_limit_changes_no_result_without_contraction(cfg, s):
+    clear_memo()
+    tight = prove(s, cfg, SearchLimits(max_depth=1))
+    assert tight.limit_hit is None and tight.stats.cuts == tight.stats.bounded == 0
+    clear_memo()
+    assert _printed(tight) == _printed(prove(s, cfg))
+
+
+_TIGHT = SearchLimits(max_depth=6)
+_WEAK_EXPAND = WEAK_ONLY._replace(at_mode="expand")
+
+# Call sequences whose last result once depended on the calls before it
+_ORDER_SEQUENCES = (
+    # basic/primitive: 2 high after the depth-2 call, 64 high from an empty memo
+    ((_left_nested(100), SearchLimits(max_depth=2)), (_left_nested(100), DEFAULT_LIMITS)),
+    # weakening-only/primitive: 5 high after the first goal, 6 high from an empty memo
+    ((seq("A, Q(A) $ Q(A) |- A, ~A * A"), _TIGHT), (seq("A, Q(A) $ Q(A) |- ~A * A"), _TIGHT)),
+    # weakening-only/expand: NotProvable after the first goal, Unknown (depth) from an empty memo
+    (
+        (seq("Q(A), ~A par ~A |- A * A, ~A * A"), _TIGHT),
+        (seq("~A, Q(A) $ (~B | B) |- Q(A) $ (~A | A)"), _TIGHT),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "cfg", [BASIC, BASIC_EXPAND, WEAK_ONLY, _WEAK_EXPAND], ids=lambda c: f"{c.describe()}-{c.at_mode}"
+)
+def test_results_without_contraction_do_not_depend_on_earlier_calls(cfg):
+    # a fixed slice of the criterion-7 family, at a small depth and then at
+    # the default limits, so that proofs stored at depth 6 meet the full search
+    family = list(itertools.islice(_enumerated_family(), 0, 8000, 80))
+    sequences = [[(g, limits) for limits in (_TIGHT, DEFAULT_LIMITS) for g in family], *_ORDER_SEQUENCES]
+    cold = []
+    for goal, limits in itertools.chain(*sequences):
+        clear_memo()
+        cold.append(_printed(prove(goal, cfg, limits)))
+    warm = []
+    for sequence in sequences:
+        clear_memo()
+        warm += [_printed(prove(goal, cfg, limits)) for goal, limits in sequence]
+    assert warm == cold
+    assert all(limit_hit is None for _, limit_hit, _ in cold)
 
 
 def test_unprovable_with_contraction_is_unknown_under_limits():
